@@ -77,6 +77,99 @@ func FuzzReadSystem(f *testing.F) {
 	})
 }
 
+// substituteVarOracle is the term-by-term SubstituteVar the in-place
+// kernel replaced: each term v·m adds r·m through a fresh polynomial
+// product and merge. It stays as the reference the fuzzer checks against.
+func substituteVarOracle(p Poly, v Var, r Poly) Poly {
+	if !p.ContainsVar(v) {
+		return p
+	}
+	keep := make([]Monomial, 0, len(p.terms))
+	var replaced Poly
+	for _, t := range p.terms {
+		if !t.Contains(v) {
+			keep = append(keep, t)
+			continue
+		}
+		rest := t.Without(v)
+		replaced = replaced.Add(r.MulMonomial(rest))
+	}
+	return Poly{terms: keep}.Add(replaced)
+}
+
+// fuzzPoly decodes bytes into a polynomial over the eight variables
+// base..base+7: each byte is one monomial, bit k selecting variable
+// base+k. Repeated bytes cancel, so short inputs already exercise heavy
+// cancellation.
+func fuzzPoly(data []byte, base Var) Poly {
+	ms := make([]Monomial, len(data))
+	for i, b := range data {
+		var vs []Var
+		for k := 0; k < 8; k++ {
+			if b>>k&1 == 1 {
+				vs = append(vs, base+Var(k))
+			}
+		}
+		ms[i] = NewMonomial(vs...)
+	}
+	return FromMonomials(ms...)
+}
+
+// isCanonical reports whether p's terms are strictly descending, the form
+// every Poly operation must return.
+func isCanonical(p Poly) bool {
+	for i := 1; i < len(p.terms); i++ {
+		if p.terms[i-1].Compare(p.terms[i]) <= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzSubstituteVar checks the in-place SubstituteVar against the
+// term-by-term oracle. shape picks the right-hand side's form: as decoded,
+// the constants 0 and 1, the cofactor of v in p (so r shares the
+// variables v multiplies), or p rewritten so that v occurs in every term.
+func FuzzSubstituteVar(f *testing.F) {
+	f.Add([]byte{0x03, 0x05, 0x01}, []byte{0x06, 0x00}, uint8(0), uint8(0), uint32(0))
+	f.Add([]byte{0x03, 0x05, 0x01, 0x07}, []byte{}, uint8(0), uint8(1), uint32(0))
+	f.Add([]byte{0x03, 0x05, 0x01, 0x00}, []byte{}, uint8(0), uint8(2), uint32(0))
+	f.Add([]byte{0x03, 0x07, 0x0f, 0x02}, []byte{}, uint8(0), uint8(3), uint32(0))
+	f.Add([]byte{0x02, 0x04, 0x06, 0x00}, []byte{0x02, 0x04}, uint8(0), uint8(4), uint32(0))
+	f.Add([]byte{0xff, 0x80, 0x81}, []byte{0x7f, 0x01}, uint8(7), uint8(0), uint32(1<<24))
+	f.Fuzz(func(t *testing.T, pb, rb []byte, vb, shape uint8, base uint32) {
+		if len(pb) > 64 || len(rb) > 64 {
+			return
+		}
+		base %= 1 << 24
+		v := Var(base) + Var(vb%8)
+		p, r := fuzzPoly(pb, Var(base)), fuzzPoly(rb, Var(base))
+		switch shape % 5 {
+		case 1:
+			r = Zero()
+		case 2:
+			r = OnePoly()
+		case 3:
+			var cof []Monomial
+			for _, t := range p.terms {
+				if t.Contains(v) {
+					cof = append(cof, t.Without(v))
+				}
+			}
+			r = FromMonomials(cof...).Add(r)
+		case 4:
+			p = p.MulMonomial(NewMonomial(v))
+		}
+		got, want := p.SubstituteVar(v, r), substituteVarOracle(p, v, r)
+		if !isCanonical(got) {
+			t.Fatalf("(%v)[%v := %v] = %v is not canonical", p, v, r, got)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("(%v)[%v := %v] = %v, oracle gives %v", p, v, r, got, want)
+		}
+	})
+}
+
 // TestParseRejectsMalformed pins the hardening contract for the ANF
 // reader: out-of-range indices and non-UTF-8 input error out, never
 // panic, never produce a system with an absurd variable space.

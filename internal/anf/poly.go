@@ -1,6 +1,7 @@
 package anf
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -26,19 +27,7 @@ func OnePoly() Poly { return Poly{terms: []Monomial{One}} }
 // in pairs (m ⊕ m = 0).
 func FromMonomials(ms ...Monomial) Poly {
 	ts := append([]Monomial(nil), ms...)
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) > 0 })
-	out := ts[:0]
-	for i := 0; i < len(ts); {
-		j := i
-		for j < len(ts) && ts[j].Equal(ts[i]) {
-			j++
-		}
-		if (j-i)%2 == 1 {
-			out = append(out, ts[i])
-		}
-		i = j
-	}
-	return Poly{terms: append([]Monomial(nil), out...)}
+	return Poly{terms: append([]Monomial(nil), sortCancel(ts)...)}
 }
 
 // FromSortedMonomials builds a polynomial from monomials that are already
@@ -170,18 +159,16 @@ func (p Poly) Equal(q Poly) bool {
 
 // Vars returns the sorted set of variables occurring in p.
 func (p Poly) Vars() []Var {
-	seen := map[Var]struct{}{}
+	n := 0
 	for _, t := range p.terms {
-		for _, v := range t.Vars() {
-			seen[v] = struct{}{}
-		}
+		n += len(t.vars)
 	}
-	out := make([]Var, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
+	out := make([]Var, 0, n)
+	for _, t := range p.terms {
+		out = append(out, t.vars...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ContainsVar reports whether v occurs in any term of p.
@@ -206,22 +193,201 @@ func (p Poly) Eval(assign func(Var) bool) bool {
 }
 
 // SubstituteVar returns p with every occurrence of v replaced by the
-// polynomial r. For each term v·m the result contributes r·m.
+// polynomial r: each term v·m contributes r·m, and terms without v are
+// kept as they are. Every product m·s (s a term of r) is written into one
+// shared variable buffer, the products are sorted once and cancelled in
+// pairs, and the survivors are merged with the untouched terms: three
+// allocations per call, none when v does not occur in p (p itself is
+// returned).
 func (p Poly) SubstituteVar(v Var, r Poly) Poly {
-	if !p.ContainsVar(v) {
+	hits, size := 0, 0
+	for _, t := range p.terms {
+		if t.Contains(v) {
+			hits++
+			size += len(t.vars) - 1
+		}
+	}
+	if hits == 0 {
 		return p
 	}
-	keep := make([]Monomial, 0, len(p.terms))
-	var replaced Poly
+	rsize := 0
+	for _, s := range r.terms {
+		rsize += len(s.vars)
+	}
+	buf := make([]Var, 0, size*len(r.terms)+hits*rsize)
+	prods := make([]Monomial, 0, hits*len(r.terms))
 	for _, t := range p.terms {
 		if !t.Contains(v) {
-			keep = append(keep, t)
 			continue
 		}
-		rest := t.Without(v)
-		replaced = replaced.Add(r.MulMonomial(rest))
+		for _, s := range r.terms {
+			start := len(buf)
+			buf = appendProductWithout(buf, t.vars, s.vars, v)
+			prods = append(prods, Monomial{vars: buf[start:len(buf):len(buf)]})
+		}
 	}
-	return Poly{terms: keep}.Add(replaced)
+	prods = sortCancel(prods)
+	out := make([]Monomial, 0, len(p.terms)-hits+len(prods))
+	i, j := 0, 0
+	for i < len(p.terms) {
+		t := p.terms[i]
+		if t.Contains(v) {
+			i++
+			continue
+		}
+		if j == len(prods) {
+			out = append(out, t)
+			i++
+			continue
+		}
+		switch c := t.Compare(prods[j]); {
+		case c > 0:
+			out = append(out, t)
+			i++
+		case c < 0:
+			out = append(out, prods[j])
+			j++
+		default: // equal terms cancel
+			i++
+			j++
+		}
+	}
+	out = append(out, prods[j:]...)
+	return Poly{terms: out}
+}
+
+// appendProductWithout appends the sorted variable list of (t/v)·s to buf:
+// the union of t without v and s, both sorted ascending.
+func appendProductWithout(buf, t, s []Var, v Var) []Var {
+	i, j := 0, 0
+	for i < len(t) || j < len(s) {
+		if i < len(t) && t[i] == v {
+			i++
+			continue
+		}
+		switch {
+		case j == len(s) || (i < len(t) && t[i] < s[j]):
+			buf = append(buf, t[i])
+			i++
+		case i == len(t) || s[j] < t[i]:
+			buf = append(buf, s[j])
+			j++
+		default: // shared variable: x·x = x
+			buf = append(buf, t[i])
+			i++
+			j++
+		}
+	}
+	return buf
+}
+
+// sortCancel sorts ms into the canonical descending order and removes
+// equal monomials in pairs (m ⊕ m = 0), in place.
+func sortCancel(ms []Monomial) []Monomial {
+	slices.SortFunc(ms, func(a, b Monomial) int { return b.Compare(a) })
+	out := ms[:0]
+	for i := 0; i < len(ms); {
+		j := i + 1
+		for j < len(ms) && ms[j].Equal(ms[i]) {
+			j++
+		}
+		if (j-i)%2 == 1 {
+			out = append(out, ms[i])
+		}
+		i = j
+	}
+	return out
+}
+
+// LitImage is what SubstituteLits puts in place of one variable: the
+// constant Val when Const is set, else the literal V ⊕ Neg.
+type LitImage struct {
+	V     Var
+	Neg   bool
+	Const bool
+	Val   bool
+}
+
+// SubstituteLits returns p with every variable for which img reports true
+// replaced by its image, all at once. Each affected term expands to the
+// product of its variables' images; the expansions of all terms are
+// written into one shared variable buffer, sorted once, cancelled in
+// pairs and merged with the unaffected terms. When img reports no
+// variable of p, p itself is returned.
+func (p Poly) SubstituteLits(img func(Var) (LitImage, bool)) Poly {
+	var posArr, negArr [16]Var
+	var keep []Monomial
+	var buf []Var
+	var ends []int
+	touched := false
+	for ti, t := range p.terms {
+		pos, neg := posArr[:0], negArr[:0]
+		bound, zero := false, false
+		for _, v := range t.vars {
+			im, ok := img(v)
+			switch {
+			case !ok:
+				pos = append(pos, v)
+				continue
+			case im.Const:
+				zero = zero || !im.Val
+			case im.Neg:
+				neg = append(neg, im.V)
+			default:
+				pos = append(pos, im.V)
+			}
+			bound = true
+		}
+		if !bound {
+			if touched {
+				keep = append(keep, t)
+			}
+			continue
+		}
+		if !touched {
+			touched = true
+			keep = append(make([]Monomial, 0, len(p.terms)), p.terms[:ti]...)
+		}
+		if zero {
+			continue
+		}
+		slices.Sort(pos)
+		pos = slices.Compact(pos)
+		slices.Sort(neg)
+		neg = slices.Compact(neg)
+		// Π pos · Π (n ⊕ 1) over n in neg = Σ over subsets S of neg of
+		// Π pos · Π S, each product a sorted merge. When n is also in
+		// pos, the subsets with and without n give the same product and
+		// cancel: x·(x ⊕ 1) = 0.
+		for mask := 0; mask < 1<<len(neg); mask++ {
+			i := 0
+			for j, n := range neg {
+				if mask>>j&1 == 0 {
+					continue
+				}
+				for i < len(pos) && pos[i] < n {
+					buf = append(buf, pos[i])
+					i++
+				}
+				if i < len(pos) && pos[i] == n {
+					i++ // x·x = x
+				}
+				buf = append(buf, n)
+			}
+			buf = append(buf, pos[i:]...)
+			ends = append(ends, len(buf))
+		}
+	}
+	if !touched {
+		return p
+	}
+	prods := make([]Monomial, len(ends))
+	start := 0
+	for i, end := range ends {
+		prods[i] = Monomial{vars: buf[start:end:end]}
+		start = end
+	}
+	return Poly{terms: keep}.Add(Poly{terms: sortCancel(prods)})
 }
 
 // SubstituteConst returns p with v fixed to the constant value b.

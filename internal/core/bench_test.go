@@ -60,6 +60,23 @@ func BenchmarkElimLin(b *testing.B) {
 	}
 }
 
+// BenchmarkElimLinSimon runs ElimLin on the benchmark of record's
+// workload: Simon-[8,8] after ANF propagation, the state the engine's
+// first ElimLin call sees, at the engine's M = 20.
+func BenchmarkElimLinSimon(b *testing.B) {
+	sys := simon.GenerateInstance(simon.Params{NPlaintexts: 8, Rounds: 8},
+		rand.New(rand.NewSource(8))).Sys
+	if _, ok := NewPropagator(sys).Propagate(); !ok {
+		b.Fatal("propagation found a contradiction")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rng := rand.New(rand.NewSource(1))
+		_ = RunElimLin(sys, ElimLinConfig{M: 20, Rand: rng})
+	}
+}
+
 // BenchmarkGJERows measures just the linearize+reduce kernel: building the
 // monomial→column index, filling the matrix, and reading reduced rows back.
 func BenchmarkGJERows(b *testing.B) {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 
 	"repro/internal/anf"
 )
@@ -41,7 +42,7 @@ func RunElimLin(sys *anf.System, cfg ElimLinConfig) []anf.Poly {
 	if len(work) == 0 {
 		return nil
 	}
-	var scratch elimScratch
+	var idx occIndex
 	var learnt []anf.Poly
 	for round := 0; round < cfg.MaxRounds; round++ {
 		// A cancelled run returns what it has: learnt facts are valid the
@@ -69,7 +70,9 @@ func RunElimLin(sys *anf.System, cfg ElimLinConfig) []anf.Poly {
 		}
 		learnt = append(learnt, linear...)
 		// Step (3): use each linear equation to eliminate one variable —
-		// the variable occurring in the fewest remaining equations.
+		// the variable occurring in the fewest remaining equations, as
+		// counted after the previous equations' substitutions.
+		idx.build(rest, linear)
 		for _, l := range linear {
 			if l.IsOne() {
 				// Contradiction: surface it as a learnt fact and stop.
@@ -79,12 +82,9 @@ func RunElimLin(sys *anf.System, cfg ElimLinConfig) []anf.Poly {
 			if len(vs) == 0 {
 				continue
 			}
-			v := scratch.pick(vs, rest)
+			v := idx.pick(vs)
 			// Solve l for v: v = l ⊕ v (the rest of the equation).
-			rhs := l.Add(anf.VarPoly(v))
-			for i, p := range rest {
-				rest[i] = p.SubstituteVar(v, rhs)
-			}
+			idx.substitute(rest, v, l.Add(anf.VarPoly(v)), nil)
 		}
 		work = rest
 	}
@@ -114,7 +114,7 @@ func RunElimLinProv(sys *anf.System, cfg ElimLinConfig) []ProvFact {
 		work[i] = all[idx]
 		wits[i] = []SlotTerm{{Mult: anf.OnePoly(), Slot: slots[idx]}}
 	}
-	var scratch elimScratch
+	var idx occIndex
 	var learnt []ProvFact
 	for round := 0; round < cfg.MaxRounds; round++ {
 		if ctxCanceled(cfg.Context) {
@@ -152,6 +152,7 @@ func RunElimLinProv(sys *anf.System, cfg ElimLinConfig) []ProvFact {
 		for i, l := range linear {
 			learnt = append(learnt, ProvFact{Poly: l, Witness: linWits[i], Note: "gje row"})
 		}
+		idx.build(rest, linear)
 		for li, l := range linear {
 			if l.IsOne() {
 				return append(learnt, ProvFact{Poly: anf.OnePoly(), Witness: linWits[li], Note: "gje contradiction"})
@@ -160,15 +161,10 @@ func RunElimLinProv(sys *anf.System, cfg ElimLinConfig) []ProvFact {
 			if len(vs) == 0 {
 				continue
 			}
-			v := scratch.pick(vs, rest)
-			rhs := l.Add(anf.VarPoly(v))
-			for i, p := range rest {
-				a := cofactor(p, v)
-				rest[i] = p.SubstituteVar(v, rhs)
-				if !a.IsZero() {
-					restWits[i] = canonSlotTerms(scaleSlotTerms(restWits[i], linWits[li], a))
-				}
-			}
+			v := idx.pick(vs)
+			idx.substitute(rest, v, l.Add(anf.VarPoly(v)), func(i int, old anf.Poly) {
+				restWits[i] = canonSlotTerms(scaleSlotTerms(restWits[i], linWits[li], cofactor(old, v)))
+			})
 		}
 		work = rest
 		wits = restWits
@@ -176,70 +172,146 @@ func RunElimLinProv(sys *anf.System, cfg ElimLinConfig) []ProvFact {
 	return learnt
 }
 
-// elimScratch holds the generation-stamped dense arrays behind the
-// eliminate-variable choice, reused across every pick of a RunElimLin
-// call so the per-pick cost is one pass over rest with no allocation.
-type elimScratch struct {
-	cand   []int32 // cand[v] == gen: v is a candidate this pick
-	seen   []int32 // seen[v] == tick: v already counted for current poly
-	counts []int32 // occurrences of candidate v across rest
-	gen    int32
-	tick   int32
+// occIndex is ElimLin's occurrence index over one round's nonlinear
+// polynomials (rest): per variable, the exact number of rest polynomials
+// containing it, and the indices of those polynomials. It is built once
+// per GJE round and kept current across the round's substitutions, so a
+// pick reads counts in O(|vs|) and a substitution visits only the
+// polynomials that contain the eliminated variable.
+//
+// The index lists are pruned lazily: when a substitution cancels a
+// variable out of a polynomial, the count drops at once but the stale
+// list entry stays until the list reaches twice its count.
+type occIndex struct {
+	count []int32     // count[v]: rest polynomials containing v
+	occ   [][]int32   // occ[v]: their indices, plus stale entries
+	vars  [][]anf.Var // vars[i]: sorted variable set of rest[i]
+	mark  []int32     // mark[v] == tick: v already in the set being built
+	tick  int32
+	set   []anf.Var // scratch for the set being built
 }
 
-func (s *elimScratch) grow(n int) {
-	if n <= len(s.cand) {
-		return
-	}
-	c := make([]int32, n)
-	copy(c, s.cand)
-	s.cand = c
-	sn := make([]int32, n)
-	copy(sn, s.seen)
-	s.seen = sn
-	ct := make([]int32, n)
-	copy(ct, s.counts)
-	s.counts = ct
-}
-
-// pick returns the variable of vs occurring in the fewest polynomials of
-// rest (first in vs on ties, matching the sorted order LinearVars
-// produces). It counts all candidates in a single occurrence-count pass
-// over rest — O(total terms) instead of the O(len(vs) × total terms)
-// rescan a per-variable ContainsVar sweep costs.
-func (s *elimScratch) pick(vs []anf.Var, rest []anf.Poly) anf.Var {
-	if len(vs) == 1 {
-		return vs[0]
-	}
-	s.grow(int(vs[len(vs)-1]) + 1) // vs is sorted ascending
-	s.gen++
-	for _, v := range vs {
-		s.cand[v] = s.gen
-		s.counts[v] = 0
-	}
-	for _, p := range rest {
-		s.tick++
-		for _, t := range p.Terms() {
-			for _, v := range t.Vars() {
-				if int(v) < len(s.cand) && s.cand[v] == s.gen && s.seen[v] != s.tick {
-					s.seen[v] = s.tick
-					s.counts[v]++
-				}
+// build indexes rest. Substitutions draw their right-hand sides from
+// linear, so the index covers the variables of both.
+func (x *occIndex) build(rest, linear []anf.Poly) {
+	n := 0
+	for _, ps := range [][]anf.Poly{rest, linear} {
+		for _, p := range ps {
+			if v, ok := p.MaxVar(); ok && int(v) >= n {
+				n = int(v) + 1
 			}
 		}
 	}
+	if n > len(x.count) {
+		x.count = append(x.count, make([]int32, n-len(x.count))...)
+		x.occ = append(x.occ, make([][]int32, n-len(x.occ))...)
+		x.mark = append(x.mark, make([]int32, n-len(x.mark))...)
+	}
+	for v := range x.count {
+		x.count[v] = 0
+		x.occ[v] = x.occ[v][:0]
+	}
+	if len(rest) > len(x.vars) {
+		x.vars = append(x.vars, make([][]anf.Var, len(rest)-len(x.vars))...)
+	}
+	for i, p := range rest {
+		x.vars[i] = append(x.vars[i][:0], x.varSet(p)...)
+		for _, v := range x.vars[i] {
+			x.count[v]++
+			x.occ[v] = append(x.occ[v], int32(i))
+		}
+	}
+}
+
+// varSet returns the sorted variable set of p in the shared scratch
+// buffer, valid until the next call.
+func (x *occIndex) varSet(p anf.Poly) []anf.Var {
+	x.tick++
+	x.set = x.set[:0]
+	for _, t := range p.Terms() {
+		for _, v := range t.Vars() {
+			if x.mark[v] != x.tick {
+				x.mark[v] = x.tick
+				x.set = append(x.set, v)
+			}
+		}
+	}
+	slices.Sort(x.set)
+	return x.set
+}
+
+// pick returns the variable of vs occurring in the fewest rest
+// polynomials, the first in vs on ties (vs is sorted, as LinearVars
+// returns it).
+func (x *occIndex) pick(vs []anf.Var) anf.Var {
 	best := vs[0]
 	for _, v := range vs[1:] {
-		if s.counts[v] < s.counts[best] {
+		if x.count[v] < x.count[best] {
 			best = v
 		}
 	}
 	return best
 }
 
-// pickElimVar is the standalone form of elimScratch.pick, kept for tests
-// and one-off callers.
-func pickElimVar(vs []anf.Var, rest []anf.Poly) anf.Var {
-	var s elimScratch
-	return s.pick(vs, rest)
+// substitute rewrites every rest polynomial containing v by v := rhs
+// (rhs must not contain v) and updates the index. after, when non-nil, is
+// called with each rewritten polynomial's index and its content before
+// the rewrite.
+func (x *occIndex) substitute(rest []anf.Poly, v anf.Var, rhs anf.Poly, after func(i int, old anf.Poly)) {
+	for _, i := range x.occ[v] {
+		if _, live := slices.BinarySearch(x.vars[i], v); !live {
+			continue // stale entry, or a duplicate already rewritten
+		}
+		old := rest[i]
+		rest[i] = old.SubstituteVar(v, rhs)
+		x.update(int(i), rest[i])
+		if after != nil {
+			after(int(i), old)
+		}
+	}
+	x.occ[v] = x.occ[v][:0]
+}
+
+// update replaces rest[i]'s variable set by p's. Substitution can cancel
+// variables other than the eliminated one, so the old and new sets are
+// diffed: every variable that left loses a count, every variable that
+// joined gains a count and an index entry.
+func (x *occIndex) update(i int, p anf.Poly) {
+	old, cur := x.vars[i], x.varSet(p)
+	a, b := 0, 0
+	for a < len(old) || b < len(cur) {
+		switch {
+		case b == len(cur) || (a < len(old) && old[a] < cur[b]):
+			x.count[old[a]]--
+			a++
+		case a == len(old) || cur[b] < old[a]:
+			x.count[cur[b]]++
+			x.add(cur[b], int32(i))
+			b++
+		default:
+			a++
+			b++
+		}
+	}
+	x.vars[i] = append(old[:0], cur...)
+}
+
+// add appends i to occ[w], first dropping stale and duplicate entries
+// when the list has reached twice its live count (count[w] already
+// includes i). Each pruning at least halves the list, so its cost is
+// paid for by the appends that grew it.
+func (x *occIndex) add(w anf.Var, i int32) {
+	list := x.occ[w]
+	if len(list) >= 2*int(x.count[w]) {
+		slices.Sort(list)
+		list = slices.Compact(list)
+		live := list[:0]
+		for _, j := range list {
+			if _, ok := slices.BinarySearch(x.vars[j], w); ok {
+				live = append(live, j)
+			}
+		}
+		list = live
+	}
+	x.occ[w] = append(list, i)
 }

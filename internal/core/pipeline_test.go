@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/anf"
@@ -98,19 +99,26 @@ func TestProcessWorkersSolves(t *testing.T) {
 	}
 }
 
-// TestPickElimVarMatchesRescan cross-checks the single-pass occurrence
-// counter against the obvious per-variable rescan on random systems.
-func TestPickElimVarMatchesRescan(t *testing.T) {
+// TestOccIndexConsistent runs randomized ElimLin rounds through the
+// occurrence index and, after every substitution, checks each variable's
+// count and live list against a naive recount over rest. Alongside, it
+// replays the round the way the rescan loop did — count by ContainsVar,
+// substitute into every polynomial — and requires the same picks and the
+// same polynomials.
+func TestOccIndexConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	randPoly := func(nvars int) anf.Poly {
 		p := anf.Zero()
-		for t := 0; t < 1+rng.Intn(5); t++ {
-			m := anf.NewMonomial(anf.Var(rng.Intn(nvars)), anf.Var(rng.Intn(nvars)))
-			p = p.Add(anf.FromMonomials(m))
+		for k := 0; k < 1+rng.Intn(10); k++ {
+			vs := make([]anf.Var, rng.Intn(4))
+			for j := range vs {
+				vs[j] = anf.Var(rng.Intn(nvars))
+			}
+			p = p.Add(anf.FromMonomials(anf.NewMonomial(vs...)))
 		}
 		return p
 	}
-	naive := func(vs []anf.Var, rest []anf.Poly) anf.Var {
+	naivePick := func(vs []anf.Var, rest []anf.Poly) anf.Var {
 		best, bestCount := vs[0], int(^uint(0)>>1)
 		for _, v := range vs {
 			count := 0
@@ -125,42 +133,90 @@ func TestPickElimVarMatchesRescan(t *testing.T) {
 		}
 		return best
 	}
-	for trial := 0; trial < 200; trial++ {
-		nvars := 4 + rng.Intn(40)
-		rest := make([]anf.Poly, 1+rng.Intn(20))
-		for i := range rest {
-			rest[i] = randPoly(nvars)
-		}
-		nvs := 1 + rng.Intn(6)
-		if nvs > nvars {
-			nvs = nvars
-		}
-		seen := map[anf.Var]bool{}
-		var vs []anf.Var
-		for len(vs) < nvs {
-			v := anf.Var(rng.Intn(nvars))
-			if !seen[v] {
-				seen[v] = true
-				vs = append(vs, v)
+	checkIndex := func(trial int, idx *occIndex, rest []anf.Poly) {
+		t.Helper()
+		for v := range idx.count {
+			var want []int32
+			for i, p := range rest {
+				if p.ContainsVar(anf.Var(v)) {
+					want = append(want, int32(i))
+				}
+			}
+			if int(idx.count[v]) != len(want) {
+				t.Fatalf("trial %d: count[x%d]=%d, recount %d", trial, v, idx.count[v], len(want))
+			}
+			var live []int32
+			for _, i := range idx.occ[v] {
+				if rest[i].ContainsVar(anf.Var(v)) && !slices.Contains(live, i) {
+					live = append(live, i)
+				}
+			}
+			slices.Sort(live)
+			if !slices.Equal(live, want) {
+				t.Fatalf("trial %d: live occ[x%d]=%v, recount %v", trial, v, live, want)
 			}
 		}
-		sortVars(vs)
-		if got, want := pickElimVar(vs, rest), naive(vs, rest); got != want {
-			t.Fatalf("trial %d: pickElimVar=%v naive=%v (vs=%v)", trial, got, want, vs)
+		for i, p := range rest {
+			if !slices.Equal(idx.vars[i], p.Vars()) {
+				t.Fatalf("trial %d: vars[%d]=%v, polynomial has %v", trial, i, idx.vars[i], p.Vars())
+			}
 		}
+	}
+	var idx occIndex // reused across trials, as across rounds
+	subs := 0
+	for trial := 0; trial < 300; trial++ {
+		nvars := 3 + rng.Intn(12)
+		work := make([]anf.Poly, 2+rng.Intn(40))
+		for i := range work {
+			work[i] = randPoly(nvars)
+		}
+		for round := 0; round < 8; round++ {
+			var linear, rest []anf.Poly
+			for _, p := range gjeRows(work) {
+				switch {
+				case p.IsZero() || p.IsOne():
+				case p.IsLinear():
+					linear = append(linear, p)
+				default:
+					rest = append(rest, p)
+				}
+			}
+			if len(linear) == 0 {
+				break
+			}
+			naive := slices.Clone(rest)
+			idx.build(rest, linear)
+			checkIndex(trial, &idx, rest)
+			for _, l := range linear {
+				vs := l.LinearVars()
+				v := idx.pick(vs)
+				if want := naivePick(vs, naive); v != want {
+					t.Fatalf("trial %d: pick %v, rescan picks %v (vs=%v)", trial, v, want, vs)
+				}
+				rhs := l.Add(anf.VarPoly(v))
+				idx.substitute(rest, v, rhs, nil)
+				subs++
+				for i, p := range naive {
+					naive[i] = p.SubstituteVar(v, rhs)
+				}
+				checkIndex(trial, &idx, rest)
+				for i := range rest {
+					if !rest[i].Equal(naive[i]) {
+						t.Fatalf("trial %d: rest[%d]=%v, substituting everywhere gives %v", trial, i, rest[i], naive[i])
+					}
+				}
+			}
+			work = rest
+		}
+	}
+	if subs < 1000 {
+		t.Fatalf("only %d substitutions exercised", subs)
 	}
 }
 
-func sortVars(vs []anf.Var) {
-	for i := 1; i < len(vs); i++ {
-		for j := i; j > 0 && vs[j] < vs[j-1]; j-- {
-			vs[j], vs[j-1] = vs[j-1], vs[j]
-		}
-	}
-}
-
-// BenchmarkPickElimVar isolates the eliminate-variable choice that used to
-// rescan rest once per candidate variable.
+// BenchmarkPickElimVar measures the eliminate-variable choice as a round
+// pays it: building the occurrence index over rest, then reading the
+// counts for one linear equation's variables.
 func BenchmarkPickElimVar(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	const nvars = 256
@@ -174,11 +230,12 @@ func BenchmarkPickElimVar(b *testing.B) {
 		rest[i] = p
 	}
 	vs := []anf.Var{3, 17, 40, 99, 180, 220}
-	var s elimScratch
+	var idx occIndex
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = s.pick(vs, rest)
+		idx.build(rest, nil)
+		_ = idx.pick(vs)
 	}
 }
 

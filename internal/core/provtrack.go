@@ -177,9 +177,10 @@ func (pt *provTracker) bindingVal(v anf.Var) (bool, int) {
 	return b, rec
 }
 
-// normalize mirrors VarState.NormalizePoly exactly — same substitutions in
-// the same order, so the returned polynomial is identical — while
-// recording witness terms for each substitution: the result satisfies
+// normalize returns the same polynomial as VarState.NormalizePoly, but
+// substitutes one bound variable at a time (the canonical form is unique,
+// so the order does not change the result) to record witness terms for
+// each substitution: the result satisfies
 // q = p ⊕ Σ Mult·record(Src).Poly. Terms with Src -1 mark substitutions
 // whose binding record could not be attributed.
 func (pt *provTracker) normalize(st *VarState, p anf.Poly) (anf.Poly, []proof.Term) {

@@ -147,22 +147,27 @@ func (s *VarState) Merge(x, y anf.Var, neg bool) (bool, bool) {
 	return true, true
 }
 
-// NormalizePoly rewrites p using the known values and equivalences.
+// NormalizePoly rewrites p using the known values and equivalences in one
+// pass: every variable maps to its constant or to its union-find root
+// literal, each term expands to the product of those images, and the
+// expansion is sorted and cancelled once. Roots map to themselves, so this
+// equals substituting the bindings one variable at a time, and the
+// canonical form is unique. p is returned untouched when none of its
+// variables is bound.
 func (s *VarState) NormalizePoly(p anf.Poly) anf.Poly {
-	for _, v := range p.Vars() {
+	return p.SubstituteLits(func(v anf.Var) (anf.LitImage, bool) {
 		if int(v) >= len(s.val) {
-			continue
-		}
-		if val, ok := s.Value(v); ok {
-			p = p.SubstituteConst(v, val)
-			continue
+			return anf.LitImage{}, false
 		}
 		r := s.Find(v)
-		if r.V != v {
-			p = p.SubstituteVar(v, r.Poly())
+		if s.val[r.V] >= 0 {
+			return anf.LitImage{Const: true, Val: (s.val[r.V] == 1) != r.Neg}, true
 		}
-	}
-	return p
+		if r.V == v {
+			return anf.LitImage{}, false
+		}
+		return anf.LitImage{V: r.V, Neg: r.Neg}, true
+	})
 }
 
 // Assignments returns every determined variable with its value.

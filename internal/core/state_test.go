@@ -137,3 +137,66 @@ func TestVarStateGrowAndFactPolys(t *testing.T) {
 		t.Fatal("empty state description")
 	}
 }
+
+// normalizePolyOracle is the per-variable NormalizePoly the one-pass
+// rewrite replaced: one SubstituteConst or SubstituteVar per bound
+// variable, in variable order.
+func normalizePolyOracle(s *VarState, p anf.Poly) anf.Poly {
+	for _, v := range p.Vars() {
+		if int(v) >= len(s.val) {
+			continue
+		}
+		if val, ok := s.Value(v); ok {
+			p = p.SubstituteConst(v, val)
+			continue
+		}
+		r := s.Find(v)
+		if r.V != v {
+			p = p.SubstituteVar(v, r.Poly())
+		}
+	}
+	return p
+}
+
+// TestNormalizePolyMatchesPerVariable checks the one-pass NormalizePoly
+// against the per-variable oracle on random states and polynomials,
+// including variables beyond the state (left alone) and states where
+// several variables share a root with opposite signs (x·(x ⊕ 1) = 0).
+func TestNormalizePolyMatchesPerVariable(t *testing.T) {
+	s := NewVarState(4)
+	s.Merge(1, 0, false)
+	s.Merge(2, 0, true)
+	p, err := anf.ParsePoly("x1*x2 + x1*x3 + x3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.NormalizePoly(p); got.String() != "x0*x3 + x3" {
+		t.Fatalf("x1 = x0, x2 = x0 + 1: NormalizePoly(%v) = %v, want x0*x3 + x3", p, got)
+	}
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 2000; trial++ {
+		n := 2 + rng.Intn(10)
+		s := NewVarState(n)
+		for k := rng.Intn(n); k > 0; k-- {
+			x, y := anf.Var(rng.Intn(n)), anf.Var(rng.Intn(n))
+			if rng.Intn(3) == 0 {
+				s.SetValue(x, rng.Intn(2) == 1)
+			} else {
+				s.Merge(x, y, rng.Intn(2) == 1)
+			}
+		}
+		var ms []anf.Monomial
+		for k := rng.Intn(8); k > 0; k-- {
+			vs := make([]anf.Var, rng.Intn(5))
+			for j := range vs {
+				vs[j] = anf.Var(rng.Intn(n + 2))
+			}
+			ms = append(ms, anf.NewMonomial(vs...))
+		}
+		p := anf.FromMonomials(ms...)
+		got, want := s.NormalizePoly(p), normalizePolyOracle(s, p)
+		if !got.Equal(want) {
+			t.Fatalf("trial %d: NormalizePoly(%v) = %v, per-variable gives %v", trial, p, got, want)
+		}
+	}
+}

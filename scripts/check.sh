@@ -87,6 +87,9 @@ go test -run '^$' -fuzz '^FuzzDirectives$' -fuzztime 3s ./internal/lint
 echo "==> parity clause fuzz (a few seconds)"
 go test -run '^$' -fuzz '^FuzzParityClause$' -fuzztime 3s ./internal/sat
 
+echo "==> substitution kernel fuzz (in-place SubstituteVar vs the term-by-term oracle)"
+go test -run '^$' -fuzz '^FuzzSubstituteVar$' -fuzztime 3s ./internal/anf
+
 echo "==> bench smoke (1 iteration per benchmark)"
 go test -run '^$' -bench 'XL|RREF|ElimLin|PickElimVar' -benchtime 1x \
 	./internal/anf ./internal/core ./internal/gf2
@@ -108,5 +111,10 @@ go test -run '^$' -fuzz '^FuzzClassify$' -fuzztime 3s ./internal/route
 
 echo "==> parity family smoke (frozen-seed verdicts, both arms)"
 go test -count=1 -run 'TestParityJobsVerdicts' ./internal/bench
+
+echo "==> end-to-end benchmark tests (guard, seeded inputs, output checks)"
+# perfbench is its own module (replace repro => ../), so it runs outside
+# any workspace file.
+(cd perfbench && GOWORK=off go test .)
 
 echo "==> OK"
