@@ -176,9 +176,9 @@ type perfBlob struct {
 }
 
 // perfSnapshot times the hot kernels this reproduction optimizes — the XL
-// linearization pass, the ElimLin rounds loop, the (optionally parallel)
-// M4R elimination, and (since PR 5) the CDCL solver's propagation-heavy
-// and conflict-analysis-heavy benchmark families — and writes the medians
+// linearization pass, the ElimLin rounds loop, the M4R elimination, and
+// (since PR 5) the CDCL solver's propagation-heavy and
+// conflict-analysis-heavy benchmark families — and writes the medians
 // as JSON, so successive PRs can diff like against like (see
 // BENCH_pr1.json, BENCH_pr5.json). The CDCL entries carry allocs/op and
 // bytes/op alongside ns/op: the arena clause store's target is both.
@@ -224,12 +224,12 @@ func perfSnapshot(path string, seed int64, quick bool, stderr io.Writer) error {
 	}
 	maxprocs := runtime.GOMAXPROCS(0)
 	base := randMatrix(matN, seed)
-	medianRREF := func(w int) int64 {
+	medianRREF := func() int64 {
 		times := make([]int64, runs)
 		for i := range times {
 			m := base.Clone()
 			t0 := time.Now()
-			m.RREFM4RWorkers(w)
+			m.RREFM4R()
 			times[i] = time.Since(t0).Nanoseconds()
 		}
 		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
@@ -249,9 +249,7 @@ func perfSnapshot(path string, seed int64, quick bool, stderr io.Writer) error {
 	// masquerade as a full one; at the default n=1024 the keys match the
 	// frozen baselines.
 	measurements[fmt.Sprintf("rref_m4r_%d_w1_ns", matN)] =
-		perfMeasurement{Ns: medianRREF(1), Workers: 1, GOMAXPROCS: maxprocs}
-	measurements[fmt.Sprintf("rref_m4r_%d_wN_ns", matN)] =
-		perfMeasurement{Ns: medianRREF(maxprocs), Workers: maxprocs, GOMAXPROCS: maxprocs}
+		perfMeasurement{Ns: medianRREF(), Workers: 1, GOMAXPROCS: maxprocs}
 	results := make(map[string]int64, len(measurements))
 	for k, m := range measurements {
 		results[k] = m.Ns

@@ -85,6 +85,6 @@ func BenchmarkGJERows(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = gjeRows(polys)
+		_, _ = gjeRows(polys, false)
 	}
 }

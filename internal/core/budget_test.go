@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ciphers/sha256"
 	"repro/internal/ciphers/simon"
 )
 
@@ -27,6 +28,34 @@ func TestTimeBudgetExpiry(t *testing.T) {
 	// back, the result must be internally consistent.
 	if res.Status == SolvedSAT && !VerifySolution(inst.Sys, res.Solution) {
 		t.Fatal("invalid solution under time pressure")
+	}
+}
+
+// TimeBudget is a deadline on the run's context, so it stops a SAT step in
+// the middle of its conflict budget too. On a Bitcoin-[12] instance (the
+// first one `anfgen -family bitcoin -k 12 -rounds 16 -seed 7` writes) the
+// first SAT step alone runs for seconds; with a 200 ms budget Process must
+// return within twice that (slack for a slow host), and must not report
+// the budget as a caller interruption.
+func TestTimeBudgetStopsSATStep(t *testing.T) {
+	inst := sha256.GenerateBitcoin(sha256.BitcoinParams{K: 12, Rounds: 16}, rand.New(rand.NewSource(7)))
+	cfg := DefaultConfig()
+	const budget = 200 * time.Millisecond
+	cfg.TimeBudget = budget
+	start := time.Now()
+	res := Process(inst.Sys, cfg)
+	elapsed := time.Since(start)
+	if res.Interrupted {
+		t.Fatal("running out of TimeBudget reported as Interrupted")
+	}
+	if res.Status == SolvedSAT && !VerifySolution(inst.Sys, res.Solution) {
+		t.Fatal("invalid solution under time pressure")
+	}
+	if raceEnabled {
+		return // the race detector's slowdown makes the wall-clock bound meaningless
+	}
+	if elapsed > 2*budget {
+		t.Fatalf("Process took %v with a %v TimeBudget (bound %v)", elapsed, budget, 2*budget)
 	}
 }
 

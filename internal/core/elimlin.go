@@ -15,9 +15,6 @@ type ElimLinConfig struct {
 	// MaxRounds caps the GJE–substitute iterations (a safety valve; the
 	// algorithm terminates when no linear equations remain).
 	MaxRounds int
-	// Workers is the fan-out for the GF(2) elimination kernel (≤ 1 =
-	// sequential). The result is identical for every value.
-	Workers int
 	// Context, when non-nil, cancels the run: RunElimLin polls it at every
 	// GJE–substitute round boundary and returns the facts learnt so far.
 	// A nil Context never cancels.
@@ -35,12 +32,34 @@ func DefaultElimLinConfig(rng *rand.Rand) ElimLinConfig {
 // system and returns the linear equations learnt across all rounds. The
 // input system is not modified; substitutions happen on a working copy.
 func RunElimLin(sys *anf.System, cfg ElimLinConfig) []anf.Poly {
+	return runElimLin(sys, cfg, nil)
+}
+
+// runElimLin is RunElimLin with an optional witness sink. With a non-nil
+// sink every learnt linear equation is also recorded with its witness.
+// Witnesses thread through the rounds: a reduced row combines the working
+// polynomials' witnesses per the elimination's ops block, and
+// substituting v := l ⊕ v into p rewrites p to p ⊕ A·l (A the cofactor of
+// v in p), so the working witness gains A-scaled copies of l's witness. A
+// nil sink does no witness work at all.
+func runElimLin(sys *anf.System, cfg ElimLinConfig, sink *witnessSink) []anf.Poly {
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = 64
 	}
-	work := subsample(sys, cfg.M, cfg.Rand)
-	if len(work) == 0 {
+	idxs := subsampleIdx(sys, cfg.M, cfg.Rand)
+	if len(idxs) == 0 {
 		return nil
+	}
+	all := sys.Polys()
+	work := make([]anf.Poly, len(idxs))
+	for i, idx := range idxs {
+		work[i] = all[idx]
+	}
+	var wits [][]SlotTerm // witness of each work polynomial; tracked runs only
+	if sink != nil {
+		for _, slot := range sampledSlots(sys, idxs) {
+			wits = append(wits, []SlotTerm{{Mult: anf.OnePoly(), Slot: slot}})
+		}
 	}
 	var idx occIndex
 	var learnt []anf.Poly
@@ -52,30 +71,47 @@ func RunElimLin(sys *anf.System, cfg ElimLinConfig) []anf.Poly {
 			return learnt
 		}
 		// Step (1): GJE on the linearization.
-		reduced := gjeRowsWorkers(work, cfg.Workers)
+		reduced, ops := gjeRows(work, sink != nil)
 		// Step (2): gather the linear equations.
-		var linear []anf.Poly
-		var rest []anf.Poly
-		for _, p := range reduced {
-			switch {
-			case p.IsZero():
-			case p.IsLinear():
+		var linear, rest []anf.Poly
+		var linWits, restWits [][]SlotTerm
+		for r, p := range reduced {
+			if p.IsZero() {
+				continue
+			}
+			isLinear := p.IsLinear()
+			if isLinear {
 				linear = append(linear, p)
-			default:
+			} else {
 				rest = append(rest, p)
+			}
+			if sink != nil {
+				var w []SlotTerm
+				ops.each(r, func(j int) { w = append(w, wits[j]...) })
+				if isLinear {
+					linWits = append(linWits, canonSlotTerms(w))
+				} else {
+					restWits = append(restWits, canonSlotTerms(w))
+				}
 			}
 		}
 		if len(linear) == 0 {
 			break
 		}
 		learnt = append(learnt, linear...)
+		for i, w := range linWits {
+			sink.add(linear[i], w, "gje row")
+		}
 		// Step (3): use each linear equation to eliminate one variable —
 		// the variable occurring in the fewest remaining equations, as
 		// counted after the previous equations' substitutions.
 		idx.build(rest, linear)
-		for _, l := range linear {
+		for li, l := range linear {
 			if l.IsOne() {
 				// Contradiction: surface it as a learnt fact and stop.
+				if sink != nil {
+					sink.add(anf.OnePoly(), linWits[li], "gje contradiction")
+				}
 				return append(learnt, anf.OnePoly())
 			}
 			vs := l.LinearVars()
@@ -83,88 +119,14 @@ func RunElimLin(sys *anf.System, cfg ElimLinConfig) []anf.Poly {
 				continue
 			}
 			v := idx.pick(vs)
-			// Solve l for v: v = l ⊕ v (the rest of the equation).
-			idx.substitute(rest, v, l.Add(anf.VarPoly(v)), nil)
-		}
-		work = rest
-	}
-	return learnt
-}
-
-// RunElimLinProv is RunElimLin with provenance: identical subsampling,
-// reduction (unique RREF), variable choice and substitution, plus a
-// witness per learnt linear equation. Witnesses thread through the rounds:
-// a reduced row combines the working polynomials' witnesses per the
-// elimination's ops matrix, and substituting v := l ⊕ v into p rewrites p
-// to p ⊕ A·l (A the cofactor of v in p), so the working witness gains
-// A-scaled copies of l's witness.
-func RunElimLinProv(sys *anf.System, cfg ElimLinConfig) []ProvFact {
-	if cfg.MaxRounds <= 0 {
-		cfg.MaxRounds = 64
-	}
-	idxs := subsampleIdx(sys, cfg.M, cfg.Rand)
-	if len(idxs) == 0 {
-		return nil
-	}
-	slots := polysSlots(sys)
-	all := sys.Polys()
-	work := make([]anf.Poly, len(idxs))
-	wits := make([][]SlotTerm, len(idxs))
-	for i, idx := range idxs {
-		work[i] = all[idx]
-		wits[i] = []SlotTerm{{Mult: anf.OnePoly(), Slot: slots[idx]}}
-	}
-	var idx occIndex
-	var learnt []ProvFact
-	for round := 0; round < cfg.MaxRounds; round++ {
-		if ctxCanceled(cfg.Context) {
-			return learnt
-		}
-		reduced, ops := gjeRowsTracked(work)
-		rwits := make([][]SlotTerm, len(reduced))
-		for r := range reduced {
-			var w []SlotTerm
-			for j := range work {
-				if ops.Get(r, j) {
-					w = append(w, wits[j]...)
+			var after func(i int, old anf.Poly)
+			if sink != nil {
+				after = func(i int, old anf.Poly) {
+					restWits[i] = canonSlotTerms(scaleSlotTerms(restWits[i], linWits[li], cofactor(old, v)))
 				}
 			}
-			rwits[r] = canonSlotTerms(w)
-		}
-		var linear []anf.Poly
-		var linWits [][]SlotTerm
-		var rest []anf.Poly
-		var restWits [][]SlotTerm
-		for r, p := range reduced {
-			switch {
-			case p.IsZero():
-			case p.IsLinear():
-				linear = append(linear, p)
-				linWits = append(linWits, rwits[r])
-			default:
-				rest = append(rest, p)
-				restWits = append(restWits, rwits[r])
-			}
-		}
-		if len(linear) == 0 {
-			break
-		}
-		for i, l := range linear {
-			learnt = append(learnt, ProvFact{Poly: l, Witness: linWits[i], Note: "gje row"})
-		}
-		idx.build(rest, linear)
-		for li, l := range linear {
-			if l.IsOne() {
-				return append(learnt, ProvFact{Poly: anf.OnePoly(), Witness: linWits[li], Note: "gje contradiction"})
-			}
-			vs := l.LinearVars()
-			if len(vs) == 0 {
-				continue
-			}
-			v := idx.pick(vs)
-			idx.substitute(rest, v, l.Add(anf.VarPoly(v)), func(i int, old anf.Poly) {
-				restWits[i] = canonSlotTerms(scaleSlotTerms(restWits[i], linWits[li], cofactor(old, v)))
-			})
+			// Solve l for v: v = l ⊕ v (the rest of the equation).
+			idx.substitute(rest, v, l.Add(anf.VarPoly(v)), after)
 		}
 		work = rest
 		wits = restWits

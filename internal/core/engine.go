@@ -41,7 +41,10 @@ type Config struct {
 	// MaxIterations caps the fact-learning loop (0 = until fixed point).
 	MaxIterations int
 	// TimeBudget caps wall-clock time for the whole loop (0 = none); the
-	// paper gives Bosphorus at most 1000 s of the 5000 s total.
+	// paper gives Bosphorus at most 1000 s of the 5000 s total. It is a
+	// deadline on the run's context, so the techniques and the SAT step
+	// stop at it just as they stop on cancellation; running out of it does
+	// not set Result.Interrupted.
 	TimeBudget time.Duration
 
 	// Context, when non-nil, cancels the run: Process polls it at every
@@ -97,8 +100,8 @@ type Config struct {
 	// with its own deterministically derived RNG, and the fact batches are
 	// merged in fixed technique order before a single propagation — so the
 	// Result is bit-identical for every Workers value ≥ 1, and with
-	// Workers > 1 the techniques (and the GF(2) elimination kernel) run
-	// concurrently across that many goroutines.
+	// Workers > 1 the techniques run concurrently across that many
+	// goroutines.
 	Workers int
 
 	// Seed drives all randomized choices; fixed seed = reproducible run.
@@ -225,9 +228,18 @@ func Process(input *anf.System, cfg Config) *Result {
 		cfg.Conv = conv.DefaultOptions()
 	}
 	rng := NewRNG(cfg.Seed)
-	ctx := cfg.Context
-	if ctx == nil {
-		ctx = context.Background()
+	// parent is the caller's cancellation; ctx adds the TimeBudget
+	// deadline, so every technique and the SAT step stop at the budget
+	// through the same signal they already honour for cancellation.
+	parent := cfg.Context
+	if parent == nil {
+		parent = context.Background()
+	}
+	ctx := parent
+	if cfg.TimeBudget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(parent, start.Add(cfg.TimeBudget))
+		defer cancel()
 	}
 
 	sys := input.Clone()
@@ -239,7 +251,7 @@ func Process(input *anf.System, cfg Config) *Result {
 	}
 	finish := func(st Status) *Result {
 		res.Status = st
-		res.Interrupted = ctx.Err() != nil
+		res.Interrupted = parent.Err() != nil
 		res.Elapsed = time.Since(start)
 		return res
 	}
@@ -256,17 +268,6 @@ func Process(input *anf.System, cfg Config) *Result {
 	if maxIters <= 0 {
 		maxIters = 1 << 30
 	}
-	deadline := time.Time{}
-	if cfg.TimeBudget > 0 {
-		deadline = start.Add(cfg.TimeBudget)
-	}
-	expired := func() bool {
-		if ctx.Err() != nil {
-			return true
-		}
-		//lint:ignore determinism TimeBudget is an explicitly opted-in wall-clock cutoff; reproducible runs use ConflictBudget/MaxIterations instead
-		return !deadline.IsZero() && time.Now().After(deadline)
-	}
 
 	for iter := 0; iter < maxIters; iter++ {
 		res.Iterations = iter + 1
@@ -277,7 +278,7 @@ func Process(input *anf.System, cfg Config) *Result {
 			// iteration-start system and run (possibly concurrently) with
 			// deterministically derived RNGs; their batches merge in fixed
 			// technique order, so the outcome is Workers-independent.
-			if !expired() {
+			if ctx.Err() == nil {
 				added, ok := runSnapshotPhase(ctx, prop, cfg, res, iter, logf)
 				newThisIter += added
 				if !ok {
@@ -285,74 +286,56 @@ func Process(input *anf.System, cfg Config) *Result {
 				}
 			}
 		} else {
-			// merge folds one technique's batch into the master system —
-			// through the provenance tracker when it is on (witness-carrying
-			// ProvFacts), through plain AddFacts otherwise. Both paths learn
-			// identical facts.
-			merge := func(stats *PhaseStats, tech, name string, facts []anf.Poly, pfacts []ProvFact) bool {
-				var added int
-				var ok bool
-				n := len(facts)
-				if prop.prov != nil {
-					added, ok = prop.AddProvFacts(pfacts, tech, iter, nil)
-					n = len(pfacts)
-				} else {
-					added, ok = prop.AddFacts(facts)
-				}
+			// merge folds one technique run's facts (and, with provenance
+			// on, the witnesses its sink recorded) into the master system.
+			merge := func(stats *PhaseStats, tech, name string, facts []anf.Poly, sink *witnessSink) bool {
+				added, ok := prop.addBatch(facts, sink, tech, iter, nil)
 				stats.Runs++
 				stats.NewFacts += added
 				newThisIter += added
-				logf("iter %d: %s learnt %d facts (%d new)", iter, name, n, added)
+				logf("iter %d: %s learnt %d facts (%d new)", iter, name, len(facts), added)
 				return ok
 			}
 
-			if !cfg.DisableXL && !expired() {
-				xcfg := XLConfig{M: cfg.M, DeltaM: cfg.DeltaM, Deg: cfg.XLDeg, Context: ctx, Rand: rng}
-				var facts []anf.Poly
-				var pfacts []ProvFact
-				if prop.prov != nil {
-					pfacts = RunXLProv(sys, xcfg)
-				} else {
-					facts = RunXL(sys, xcfg)
-				}
-				if !merge(&res.XL, proof.TechXL, "XL", facts, pfacts) {
+			if !cfg.DisableXL && ctx.Err() == nil {
+				sink := prop.newSink()
+				facts := runXL(sys, XLConfig{M: cfg.M, DeltaM: cfg.DeltaM, Deg: cfg.XLDeg, Context: ctx, Rand: rng}, sink)
+				if !merge(&res.XL, proof.TechXL, "XL", facts, sink) {
 					return finish(SolvedUNSAT)
 				}
 			}
 
-			if !cfg.DisableElimLin && !expired() {
-				ecfg := ElimLinConfig{M: cfg.M, Context: ctx, Rand: rng}
-				var facts []anf.Poly
-				var pfacts []ProvFact
-				if prop.prov != nil {
-					pfacts = RunElimLinProv(sys, ecfg)
-				} else {
-					facts = RunElimLin(sys, ecfg)
-				}
-				if !merge(&res.ElimLin, proof.TechElimLin, "ElimLin", facts, pfacts) {
+			if !cfg.DisableElimLin && ctx.Err() == nil {
+				sink := prop.newSink()
+				facts := runElimLin(sys, ElimLinConfig{M: cfg.M, Context: ctx, Rand: rng}, sink)
+				if !merge(&res.ElimLin, proof.TechElimLin, "ElimLin", facts, sink) {
 					return finish(SolvedUNSAT)
 				}
 			}
 
 			for _, tech := range cfg.ExtraTechniques {
-				if expired() {
+				if ctx.Err() != nil {
 					break
 				}
+				sink := prop.newSink()
 				facts := tech.Learn(ctx, sys, rng)
-				if !merge(&res.Extra, proof.TechExtra, tech.Name(), facts, wrapPlain(facts, tech.Name())) {
+				sink.addPlain(facts, tech.Name())
+				if !merge(&res.Extra, proof.TechExtra, tech.Name(), facts, sink) {
 					return finish(SolvedUNSAT)
 				}
 			}
 
-			if cfg.EnableGroebner && !expired() {
+			if cfg.EnableGroebner && ctx.Err() == nil {
+				sink := prop.newSink()
 				facts := RunGroebnerStep(sys, DefaultGroebnerConfig(rng))
-				if !merge(&res.Groebner, proof.TechGroebner, "Groebner", facts, wrapPlain(facts, "buchberger reduction")) {
+				sink.addPlain(facts, "buchberger reduction")
+				if !merge(&res.Groebner, proof.TechGroebner, "Groebner", facts, sink) {
 					return finish(SolvedUNSAT)
 				}
 			}
 		}
 
-		if !cfg.DisableSAT && !expired() {
+		if !cfg.DisableSAT && ctx.Err() == nil {
 			out := outputSystem(sys, prop.State)
 			step := RunSATStep(out, SATStepConfig{
 				ConflictBudget:   budget,
@@ -382,21 +365,15 @@ func Process(input *anf.System, cfg Config) *Result {
 				res.Solution = completeSolution(input, prop.State, step.Model)
 				return finish(SolvedSAT)
 			}
-			var added int
-			var ok bool
-			if prop.prov != nil {
-				pfacts := make([]ProvFact, len(step.Facts))
-				for i, f := range step.Facts {
-					note := "sat harvest"
-					if i < len(step.Notes) {
-						note = step.Notes[i]
-					}
-					pfacts[i] = ProvFact{Poly: f, Note: note}
+			sink := prop.newSink()
+			for i, f := range step.Facts {
+				note := "sat harvest"
+				if i < len(step.Notes) {
+					note = step.Notes[i]
 				}
-				added, ok = prop.AddProvFacts(pfacts, proof.TechSAT, iter, nil)
-			} else {
-				added, ok = prop.AddFacts(step.Facts)
+				sink.add(f, nil, note)
 			}
+			added, ok := prop.addBatch(step.Facts, sink, proof.TechSAT, iter, nil)
 			res.SAT.NewFacts += added
 			newThisIter += added
 			logf("iter %d: SAT step (%v, %d conflicts) learnt %d facts (%d new)",
@@ -415,7 +392,7 @@ func Process(input *anf.System, cfg Config) *Result {
 		if sys.HasContradiction() {
 			return finish(SolvedUNSAT)
 		}
-		if newThisIter == 0 || expired() {
+		if newThisIter == 0 || ctx.Err() != nil {
 			break
 		}
 	}

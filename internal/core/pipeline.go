@@ -11,16 +11,16 @@ import (
 
 // techJob is one fact learner of an iteration's snapshot phase: a closure
 // over the read-only master system, the stats bucket it reports into, and
-// the derived seed for its private RNG.
+// the derived seed for its private RNG. learn records its facts in sink,
+// which is nil when provenance tracking is off.
 type techJob struct {
-	name   string
-	tech   string // proof.Tech* label for the provenance ledger
-	stats  *PhaseStats
-	seed   int64
-	learn  func(rng *rand.Rand) []anf.Poly
-	plearn func(rng *rand.Rand) []ProvFact // provenance-tracking variant
-	facts  []anf.Poly
-	pfacts []ProvFact
+	name  string
+	tech  string // proof.Tech* label for the provenance ledger
+	stats *PhaseStats
+	seed  int64
+	learn func(rng *rand.Rand, sink *witnessSink) []anf.Poly
+	facts []anf.Poly
+	sink  *witnessSink
 }
 
 // deriveSeed mixes the run seed, iteration and job index into a decorrelated
@@ -41,58 +41,41 @@ func deriveSeed(base int64, iter, job int) int64 {
 // optional Gröbner phase — the same order the sequential loop runs them.
 func snapshotJobs(ctx context.Context, sys *anf.System, cfg Config, res *Result, iter int) []*techJob {
 	var jobs []*techJob
-	add := func(name, tech string, stats *PhaseStats, learn func(rng *rand.Rand) []anf.Poly, plearn func(rng *rand.Rand) []ProvFact) {
+	add := func(name, tech string, stats *PhaseStats, learn func(rng *rand.Rand, sink *witnessSink) []anf.Poly) {
 		jobs = append(jobs, &techJob{
-			name:   name,
-			tech:   tech,
-			stats:  stats,
-			seed:   deriveSeed(cfg.Seed, iter, len(jobs)),
-			learn:  learn,
-			plearn: plearn,
+			name:  name,
+			tech:  tech,
+			stats: stats,
+			seed:  deriveSeed(cfg.Seed, iter, len(jobs)),
+			learn: learn,
 		})
 	}
 	if !cfg.DisableXL {
-		xcfg := XLConfig{M: cfg.M, DeltaM: cfg.DeltaM, Deg: cfg.XLDeg, Workers: cfg.Workers, Context: ctx}
-		add("XL", proof.TechXL, &res.XL, func(rng *rand.Rand) []anf.Poly {
-			c := xcfg
-			c.Rand = rng
-			return RunXL(sys, c)
-		}, func(rng *rand.Rand) []ProvFact {
-			c := xcfg
-			c.Rand = rng
-			return RunXLProv(sys, c)
+		add("XL", proof.TechXL, &res.XL, func(rng *rand.Rand, sink *witnessSink) []anf.Poly {
+			return runXL(sys, XLConfig{M: cfg.M, DeltaM: cfg.DeltaM, Deg: cfg.XLDeg, Context: ctx, Rand: rng}, sink)
 		})
 	}
 	if !cfg.DisableElimLin {
-		ecfg := ElimLinConfig{M: cfg.M, Workers: cfg.Workers, Context: ctx}
-		add("ElimLin", proof.TechElimLin, &res.ElimLin, func(rng *rand.Rand) []anf.Poly {
-			c := ecfg
-			c.Rand = rng
-			return RunElimLin(sys, c)
-		}, func(rng *rand.Rand) []ProvFact {
-			c := ecfg
-			c.Rand = rng
-			return RunElimLinProv(sys, c)
+		add("ElimLin", proof.TechElimLin, &res.ElimLin, func(rng *rand.Rand, sink *witnessSink) []anf.Poly {
+			return runElimLin(sys, ElimLinConfig{M: cfg.M, Context: ctx, Rand: rng}, sink)
 		})
 	}
 	for _, tech := range cfg.ExtraTechniques {
 		tech := tech
-		learn := func(rng *rand.Rand) []anf.Poly {
-			return tech.Learn(ctx, sys, rng)
-		}
-		add(tech.Name(), proof.TechExtra, &res.Extra, learn, func(rng *rand.Rand) []ProvFact {
-			return wrapPlain(learn(rng), tech.Name())
+		add(tech.Name(), proof.TechExtra, &res.Extra, func(rng *rand.Rand, sink *witnessSink) []anf.Poly {
+			facts := tech.Learn(ctx, sys, rng)
+			sink.addPlain(facts, tech.Name())
+			return facts
 		})
 	}
 	if cfg.EnableGroebner {
-		learn := func(rng *rand.Rand) []anf.Poly {
+		add("Groebner", proof.TechGroebner, &res.Groebner, func(rng *rand.Rand, sink *witnessSink) []anf.Poly {
 			if ctx.Err() != nil {
 				return nil
 			}
-			return RunGroebnerStep(sys, DefaultGroebnerConfig(rng))
-		}
-		add("Groebner", proof.TechGroebner, &res.Groebner, learn, func(rng *rand.Rand) []ProvFact {
-			return wrapPlain(learn(rng), "buchberger reduction")
+			facts := RunGroebnerStep(sys, DefaultGroebnerConfig(rng))
+			sink.addPlain(facts, "buchberger reduction")
+			return facts
 		})
 	}
 	return jobs
@@ -117,14 +100,9 @@ func runSnapshotPhase(ctx context.Context, prop *Propagator, cfg Config, res *Re
 	// below only ever take the table's read-only fast path.
 	sys.MonoTable()
 
-	prov := prop.prov != nil
 	run := func(j *techJob) {
-		rng := NewRNG(j.seed)
-		if prov {
-			j.pfacts = j.plearn(rng)
-		} else {
-			j.facts = j.learn(rng)
-		}
+		j.sink = prop.newSink()
+		j.facts = j.learn(NewRNG(j.seed), j.sink)
 	}
 	if cfg.Workers > 1 {
 		sem := make(chan struct{}, cfg.Workers)
@@ -150,22 +128,14 @@ func runSnapshotPhase(ctx context.Context, prop *Propagator, cfg Config, res *Re
 	// slots refer to the iteration-start system every learner saw, so the
 	// slot→record snapshot is taken once, before the first merge mutates
 	// the slot records.
-	snap := prop.ProvSnapshot()
+	snap := prop.provSnapshot()
 	total := 0
 	for _, j := range jobs {
-		var added int
-		var ok bool
-		n := len(j.facts)
-		if prov {
-			added, ok = prop.AddProvFacts(j.pfacts, j.tech, iter, snap)
-			n = len(j.pfacts)
-		} else {
-			added, ok = prop.AddFacts(j.facts)
-		}
+		added, ok := prop.addBatch(j.facts, j.sink, j.tech, iter, snap)
 		j.stats.Runs++
 		j.stats.NewFacts += added
 		total += added
-		logf("iter %d: %s learnt %d facts (%d new)", iter, j.name, n, added)
+		logf("iter %d: %s learnt %d facts (%d new)", iter, j.name, len(j.facts), added)
 		if !ok {
 			return total, false
 		}

@@ -243,25 +243,31 @@ func (p *Propagator) AddFacts(fs []anf.Poly) (int, bool) {
 	return added, true
 }
 
-// AddProvFacts merges a batch of facts carrying slot-level witnesses:
+// newSink returns a fresh witness sink for one technique run when
+// provenance tracking is on, nil otherwise.
+func (p *Propagator) newSink() *witnessSink {
+	if p.prov == nil {
+		return nil
+	}
+	return &witnessSink{}
+}
+
+// addBatch merges one technique run's facts. Without provenance tracking
+// it is AddFacts. With it, the facts come from sink, the run's newSink:
 // each SlotTerm is resolved to the ledger record backing that slot (via
 // snap, a slot→record snapshot taken when the producing technique ran, or
 // the current mapping when snap is nil), the records are stamped with the
 // technique label and iteration, and the system propagates to a fixed
-// point afterwards. Without an attached tracker it degrades to AddFacts.
-func (p *Propagator) AddProvFacts(fs []ProvFact, technique string, iter int, snap []int) (int, bool) {
+// point afterwards.
+func (p *Propagator) addBatch(facts []anf.Poly, sink *witnessSink, technique string, iter int, snap []int) (int, bool) {
 	if p.prov == nil {
-		polys := make([]anf.Poly, len(fs))
-		for i, f := range fs {
-			polys[i] = f.Poly
-		}
-		return p.AddFacts(polys)
+		return p.AddFacts(facts)
 	}
 	if snap == nil {
 		snap = p.prov.slotRec
 	}
 	added := 0
-	for _, f := range fs {
+	for _, f := range sink.facts {
 		p.prov.setPhase(technique, iter)
 		var base []proof.Term
 		for _, t := range f.Witness {
@@ -287,11 +293,11 @@ func (p *Propagator) AddProvFacts(fs []ProvFact, technique string, iter int, sna
 	return added, true
 }
 
-// ProvSnapshot returns a copy of the current slot→ledger-record mapping
+// provSnapshot returns a copy of the current slot→ledger-record mapping
 // (nil without provenance tracking) — taken before a merge sequence so
 // witnesses computed against a system snapshot resolve to the records that
 // described it.
-func (p *Propagator) ProvSnapshot() []int {
+func (p *Propagator) provSnapshot() []int {
 	if p.prov == nil {
 		return nil
 	}

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/anf"
+	"repro/internal/ciphers/simon"
+	"repro/internal/ciphers/sr"
 	"repro/internal/proof"
 )
 
@@ -98,6 +100,11 @@ func TestProvenanceVerifiesEverything(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		systems = append(systems, randomPlantedSystem(rng, 4+rng.Intn(5)))
 	}
+	// A real linearization (the first `anfgen -family sr -seed 3`
+	// instance): XL's expansion runs to thousands of rows, so the tracked
+	// elimination works at M4R table widths k > 1.
+	systems = append(systems, sr.GenerateInstance(sr.Params{N: 1, R: 2, C: 2, E: 4}, rand.New(rand.NewSource(3))).Sys)
+	srIndex := len(systems) - 1
 	for si, sys := range systems {
 		for _, workers := range []int{0, 2} {
 			cfg := DefaultConfig()
@@ -118,6 +125,27 @@ func TestProvenanceVerifiesEverything(t *testing.T) {
 				}
 				t.Fatalf("sys %d workers %d: %s", si, workers, report.Summary())
 			}
+			// XL and ElimLin record exact witnesses: their facts must
+			// replay algebraically, not merely survive the refutation
+			// fallback.
+			for _, v := range report.Verdicts {
+				linAlg := v.Technique == proof.TechXL || v.Technique == proof.TechElimLin
+				if linAlg && v.Verdict != proof.VerdictWitness && v.Verdict != proof.VerdictInput {
+					t.Fatalf("sys %d workers %d: %s record %d verified as %v, not by its witness: %s",
+						si, workers, v.Technique, v.ID, v.Verdict, v.Detail)
+				}
+			}
+			if si == srIndex {
+				// The witnesses under test must exist: both linear-algebra
+				// techniques have to contribute records.
+				byTech := map[string]int{}
+				for _, r := range res.Provenance.Facts() {
+					byTech[r.Technique]++
+				}
+				if byTech[proof.TechXL] == 0 || byTech[proof.TechElimLin] == 0 {
+					t.Fatalf("sys %d workers %d: no XL or ElimLin records: %v", si, workers, byTech)
+				}
+			}
 			if res.Status == SolvedUNSAT {
 				// The refutation must be in the ledger, not just the Status.
 				found := false
@@ -131,6 +159,63 @@ func TestProvenanceVerifiesEverything(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// Every witness runXL and runElimLin record must replay directly against
+// the system they ran on: Σ Mult·slot polynomial = fact. Checked at the
+// technique level because the engine ledger only keeps facts that are new
+// after propagation, which hides most later-round ElimLin witnesses. The
+// facts must also be exactly what the sink-less run returns.
+func TestTechniqueWitnessesReplay(t *testing.T) {
+	systems := []*anf.System{
+		sysFrom(t, paperExample),
+		sr.GenerateInstance(sr.Params{N: 1, R: 2, C: 2, E: 4}, rand.New(rand.NewSource(3))).Sys,
+		simon.GenerateInstance(simon.Params{NPlaintexts: 2, Rounds: 5}, rand.New(rand.NewSource(3))).Sys,
+	}
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 4; i++ {
+		systems = append(systems, randomPlantedSystem(rng, 6+rng.Intn(6)))
+	}
+	check := func(si int, name string, sys *anf.System, plain, tracked []anf.Poly, sink *witnessSink) int {
+		if len(plain) != len(tracked) || len(plain) != len(sink.facts) {
+			t.Fatalf("sys %d %s: %d facts without a sink, %d with (%d recorded)",
+				si, name, len(plain), len(tracked), len(sink.facts))
+		}
+		for i, f := range sink.facts {
+			if !f.Poly.Equal(plain[i]) || !tracked[i].Equal(plain[i]) {
+				t.Fatalf("sys %d %s: fact %d is %v with a sink, %v without", si, name, i, f.Poly, plain[i])
+			}
+			sum := anf.Zero()
+			for _, w := range f.Witness {
+				sum = sum.Add(w.Mult.Mul(sys.At(w.Slot)))
+			}
+			if !sum.Equal(f.Poly) {
+				t.Fatalf("sys %d %s: witness of fact %d (%v) replays to %v", si, name, i, f.Poly, sum)
+			}
+		}
+		return len(sink.facts)
+	}
+	total := map[string]int{}
+	for si, sys := range systems {
+		for seed := int64(1); seed <= 3; seed++ {
+			xcfg := XLConfig{M: 16, DeltaM: 4, Deg: 1}
+			xcfg.Rand = NewRNG(seed)
+			plain := RunXL(sys, xcfg)
+			sink := &witnessSink{}
+			xcfg.Rand = NewRNG(seed)
+			total["XL"] += check(si, "XL", sys, plain, runXL(sys, xcfg, sink), sink)
+
+			ecfg := ElimLinConfig{M: 16}
+			ecfg.Rand = NewRNG(seed)
+			eplain := RunElimLin(sys, ecfg)
+			esink := &witnessSink{}
+			ecfg.Rand = NewRNG(seed)
+			total["ElimLin"] += check(si, "ElimLin", sys, eplain, runElimLin(sys, ecfg, esink), esink)
+		}
+	}
+	if total["XL"] == 0 || total["ElimLin"] == 0 {
+		t.Fatalf("no witnesses exercised: %v", total)
 	}
 }
 

@@ -28,14 +28,27 @@ type ProvFact struct {
 	Note    string
 }
 
-// wrapPlain lifts witness-less facts (extra techniques, the Gröbner phase,
-// SAT harvests) into ProvFacts.
-func wrapPlain(facts []anf.Poly, note string) []ProvFact {
-	out := make([]ProvFact, len(facts))
-	for i, f := range facts {
-		out[i] = ProvFact{Poly: f, Note: note}
+// witnessSink collects the ProvFacts of one technique run, in fact order.
+// XL and ElimLin record each fact with its witness; techniques that cannot
+// track a derivation (extra techniques, the Gröbner phase, SAT harvests)
+// record it witness-less. Provenance-off runs pass a nil sink, on which
+// every method is a no-op.
+type witnessSink struct {
+	facts []ProvFact
+}
+
+// add records fact p with witness w.
+func (s *witnessSink) add(p anf.Poly, w []SlotTerm, note string) {
+	if s != nil {
+		s.facts = append(s.facts, ProvFact{Poly: p, Witness: w, Note: note})
 	}
-	return out
+}
+
+// addPlain records witness-less facts.
+func (s *witnessSink) addPlain(facts []anf.Poly, note string) {
+	for _, f := range facts {
+		s.add(f, nil, note)
+	}
 }
 
 // provEq is one link of the provenance-side equivalence forest: the ledger

@@ -24,9 +24,6 @@ type XLConfig struct {
 	// Deg is D, the maximum degree of the multiplier monomials (the paper
 	// runs with D = 1: multiply by 1 and by each single variable).
 	Deg int
-	// Workers is the fan-out for the GF(2) elimination kernel (≤ 1 =
-	// sequential). The result is identical for every value.
-	Workers int
 	// Context, when non-nil, cancels the pass: RunXL polls it at expansion
 	// and elimination boundaries and returns nil facts promptly after
 	// cancellation. A nil Context never cancels.
@@ -45,15 +42,21 @@ func DefaultXLConfig(rng *rand.Rand) XLConfig {
 // RunXL performs one XL pass over the system and returns the learnt facts:
 // linear polynomials and monomial-plus-one polynomials read off the
 // Gauss–Jordan-reduced linearization (Table I's "retained" rows).
-func RunXL(sys *anf.System, cfg XLConfig) []anf.Poly {
+func RunXL(sys *anf.System, cfg XLConfig) []anf.Poly { return runXL(sys, cfg, nil) }
+
+// runXL is RunXL with an optional witness sink. With a non-nil sink every
+// learnt fact is also recorded with its witness: the GF(2) combination of
+// multiplier·slot-polynomial products the elimination's ops block picks
+// for its row. A nil sink does no witness work at all.
+func runXL(sys *anf.System, cfg XLConfig, sink *witnessSink) []anf.Poly {
 	if cfg.Deg < 0 {
 		cfg.Deg = 1
 	}
 	if ctxCanceled(cfg.Context) {
 		return nil
 	}
-	polys := subsample(sys, cfg.M, cfg.Rand)
-	if len(polys) == 0 {
+	idxs := subsampleIdx(sys, cfg.M, cfg.Rand)
+	if len(idxs) == 0 {
 		return nil
 	}
 	// Expand in ascending degree order by monomials up to degree D, while
@@ -62,34 +65,61 @@ func RunXL(sys *anf.System, cfg XLConfig) []anf.Poly {
 	// produced, which both tracks the distinct-monomial count incrementally
 	// (the old implementation re-counted from scratch) and pre-computes the
 	// integer column IDs the linearization step indexes by.
-	sort.SliceStable(polys, func(i, j int) bool { return polys[i].Deg() < polys[j].Deg() })
+	all := sys.Polys()
+	sort.SliceStable(idxs, func(i, j int) bool { return all[idxs[i]].Deg() < all[idxs[j]].Deg() })
+	polys := make([]anf.Poly, len(idxs))
+	for i, idx := range idxs {
+		polys[i] = all[idx]
+	}
+	var slots []int // system slot of each polys[i]; tracked runs only
+	if sink != nil {
+		slots = sampledSlots(sys, idxs)
+	}
 	limit := uint64(1) << uint(cfg.M+cfg.DeltaM)
 	scratch := getLinScratch()
 	defer putLinScratch(scratch)
 	tab := scratch.tab
 	expanded := make([]anf.Poly, 0, 2*len(polys))
-	push := func(q anf.Poly) {
+	// srcs[j] is the multiplier·slot product behind expanded[j]; tracked
+	// runs only.
+	var srcs []SlotTerm
+	push := func(q anf.Poly, i int, mult anf.Poly) {
 		expanded = append(expanded, q)
 		scratch.ids = tab.AppendTermIDs(scratch.ids, q)
+		if sink != nil {
+			srcs = append(srcs, SlotTerm{Mult: mult, Slot: slots[i]})
+		}
 	}
-	for _, p := range polys {
-		push(p)
+	one := anf.OnePoly()
+	for i, p := range polys {
+		push(p, i, one)
 	}
 	// Collect the variables of the sampled subsystem as degree-1
 	// multipliers (D = 1); for D > 1, products of those variables.
 	vars := collectVars(polys)
 	multipliers := buildMultipliers(vars, cfg.Deg)
+	var multPolys []anf.Poly // multipliers as polynomials; tracked runs only
+	if sink != nil {
+		multPolys = make([]anf.Poly, len(multipliers))
+		for k, m := range multipliers {
+			multPolys[k] = anf.FromMonomials(m)
+		}
+	}
 expansion:
-	for _, p := range polys {
+	for i, p := range polys {
 		if ctxCanceled(cfg.Context) {
 			return nil
 		}
-		for _, m := range multipliers {
+		for k, m := range multipliers {
 			q := p.MulMonomial(m)
 			if q.IsZero() {
 				continue
 			}
-			push(q)
+			var mult anf.Poly
+			if sink != nil {
+				mult = multPolys[k]
+			}
+			push(q, i, mult)
 			if uint64(len(expanded))*uint64(tab.Len()) > limit {
 				break expansion
 			}
@@ -98,10 +128,17 @@ expansion:
 	if ctxCanceled(cfg.Context) {
 		return nil
 	}
+	rows, ops := gjeRowsIDs(expanded, scratch.ids, tab, scratch, sink != nil)
 	var facts []anf.Poly
-	for _, p := range gjeRowsIDs(expanded, scratch.ids, tab, cfg.Workers, scratch) {
-		if p.IsLinear() || p.IsMonomialPlusOne() || p.IsOne() {
-			facts = append(facts, p)
+	for r, p := range rows {
+		if !(p.IsLinear() || p.IsMonomialPlusOne() || p.IsOne()) {
+			continue
+		}
+		facts = append(facts, p)
+		if sink != nil {
+			var wit []SlotTerm
+			ops.each(r, func(j int) { wit = append(wit, srcs[j]) })
+			sink.add(p, canonSlotTerms(wit), "gje row")
 		}
 	}
 	return facts
@@ -126,9 +163,8 @@ func subsample(sys *anf.System, m int, rng *rand.Rand) []anf.Poly {
 
 // subsampleIdx is subsample returning indices into sys.Polys() instead of
 // the polynomials, so provenance-tracking callers can attribute each
-// sampled equation to its system slot. It consumes the RNG exactly as
-// subsample does (one Perm call), keeping tracked and untracked runs on
-// identical random streams.
+// sampled equation to its system slot (sampledSlots). It consumes the RNG
+// exactly as subsample does (one Perm call).
 func subsampleIdx(sys *anf.System, m int, rng *rand.Rand) []int {
 	// Warm the table before snapshotting: MonoTable() rewrites the stored
 	// polynomials with canonical interned terms, so the polys we pull carry
@@ -159,14 +195,18 @@ func subsampleIdx(sys *anf.System, m int, rng *rand.Rand) []int {
 	return out
 }
 
-// polysSlots maps sys.Polys() indices back to raw equation slots: entry k
-// is the slot holding the k-th non-zero polynomial.
-func polysSlots(sys *anf.System) []int {
-	out := make([]int, 0, sys.RawLen())
+// sampledSlots maps sys.Polys() indices back to raw equation slots: entry
+// i is the slot holding the idxs[i]-th non-zero polynomial.
+func sampledSlots(sys *anf.System, idxs []int) []int {
+	slots := make([]int, 0, sys.RawLen())
 	for i := 0; i < sys.RawLen(); i++ {
 		if !sys.At(i).IsZero() {
-			out = append(out, i)
+			slots = append(slots, i)
 		}
+	}
+	out := make([]int, len(idxs))
+	for i, idx := range idxs {
+		out[i] = slots[idx]
 	}
 	return out
 }
@@ -208,156 +248,60 @@ func buildMultipliers(vars []anf.Var, deg int) []anf.Monomial {
 	return out
 }
 
-// RunXLProv is RunXL with provenance: the same subsample, expansion and
-// reduction (the RREF of a matrix is unique, so the tracked plain
-// elimination returns bit-identical rows to the M4R kernel RunXL uses),
-// plus a witness per learnt fact expressing it as a GF(2) combination of
-// multiplier·slot-polynomial products read off the elimination's ops
-// matrix.
-func RunXLProv(sys *anf.System, cfg XLConfig) []ProvFact {
-	if cfg.Deg < 0 {
-		cfg.Deg = 1
-	}
-	if ctxCanceled(cfg.Context) {
-		return nil
-	}
-	idxs := subsampleIdx(sys, cfg.M, cfg.Rand)
-	if len(idxs) == 0 {
-		return nil
-	}
-	slots := polysSlots(sys)
-	all := sys.Polys()
-	type sampled struct {
-		p    anf.Poly
-		slot int
-	}
-	polys := make([]sampled, len(idxs))
-	for i, idx := range idxs {
-		polys[i] = sampled{p: all[idx], slot: slots[idx]}
-	}
-	// Mirror RunXL's stable degree sort; the comparator reads only the
-	// polynomials, so co-sorting the slots preserves the permutation.
-	sort.SliceStable(polys, func(i, j int) bool { return polys[i].p.Deg() < polys[j].p.Deg() })
-	limit := uint64(1) << uint(cfg.M+cfg.DeltaM)
-	scratch := getLinScratch()
-	defer putLinScratch(scratch)
-	tab := scratch.tab
-	expanded := make([]anf.Poly, 0, 2*len(polys))
-	type rowSrc struct {
-		slot int
-		mult anf.Monomial
-	}
-	srcs := make([]rowSrc, 0, 2*len(polys))
-	push := func(q anf.Poly, slot int, mult anf.Monomial) {
-		expanded = append(expanded, q)
-		srcs = append(srcs, rowSrc{slot: slot, mult: mult})
-		scratch.ids = tab.AppendTermIDs(scratch.ids, q)
-	}
-	one := anf.NewMonomial()
-	for _, s := range polys {
-		push(s.p, s.slot, one)
-	}
-	plain := make([]anf.Poly, len(polys))
-	for i, s := range polys {
-		plain[i] = s.p
-	}
-	vars := collectVars(plain)
-	multipliers := buildMultipliers(vars, cfg.Deg)
-expansion:
-	for _, s := range polys {
-		if ctxCanceled(cfg.Context) {
-			return nil
-		}
-		for _, m := range multipliers {
-			q := s.p.MulMonomial(m)
-			if q.IsZero() {
-				continue
-			}
-			push(q, s.slot, m)
-			if uint64(len(expanded))*uint64(tab.Len()) > limit {
-				break expansion
-			}
-		}
-	}
-	if ctxCanceled(cfg.Context) {
-		return nil
-	}
-	rows, ops := gjeRowsIDsTracked(expanded, scratch.ids, tab, scratch)
-	var facts []ProvFact
-	for r, p := range rows {
-		if !(p.IsLinear() || p.IsMonomialPlusOne() || p.IsOne()) {
-			continue
-		}
-		var wit []SlotTerm
-		for j := range expanded {
-			if ops.Get(r, j) {
-				wit = append(wit, SlotTerm{Mult: anf.FromMonomials(srcs[j].mult), Slot: srcs[j].slot})
-			}
-		}
-		facts = append(facts, ProvFact{Poly: p, Witness: canonSlotTerms(wit), Note: "gje row"})
-	}
-	return facts
-}
-
 // gjeRows linearizes the polynomials (one column per distinct monomial,
 // constant column last), runs Gauss–Jordan elimination with the M4R
-// kernel, and returns every nonzero reduced row as a polynomial.
-func gjeRows(polys []anf.Poly) []anf.Poly {
-	return gjeRowsWorkers(polys, 0)
-}
-
-// gjeRowsWorkers is gjeRows with an explicit elimination fan-out. The
-// interning table and ID buffers come from the pooled scratch: ElimLin
-// calls this once per substitution round, and the reset-not-reallocate
-// lifecycle keeps the rounds allocation-light.
-func gjeRowsWorkers(polys []anf.Poly, workers int) []anf.Poly {
+// kernel, and returns every nonzero reduced row as a polynomial — plus,
+// when track is set, the row operations behind them. The interning table
+// and ID buffers come from the pooled scratch: ElimLin calls this once per
+// substitution round, and the reset-not-reallocate lifecycle keeps the
+// rounds allocation-light.
+func gjeRows(polys []anf.Poly, track bool) ([]anf.Poly, rowOps) {
 	scratch := getLinScratch()
 	defer putLinScratch(scratch)
 	tab := scratch.tab
 	for _, p := range polys {
 		scratch.ids = tab.AppendTermIDs(scratch.ids, p)
 	}
-	return gjeRowsIDs(polys, scratch.ids, tab, workers, scratch)
+	return gjeRowsIDs(polys, scratch.ids, tab, scratch, track)
 }
 
 // gjeRowsIDs is the linearize→eliminate→extract kernel. ids holds the
 // term IDs of every polynomial, concatenated in row order (row r owns the
 // next polys[r].NumTerms() entries), with every ID already interned in
 // tab — so each column index is an integer array lookup and the hot path
-// does no string hashing at all.
-func gjeRowsIDs(polys []anf.Poly, ids []uint32, tab *anf.MonoTable, workers int, s *linScratch) []anf.Poly {
-	mat, order, monos := linearize(polys, ids, tab, s)
-	rank := mat.RREFM4RWorkers(workers)
-	return extractRows(mat, rank, order, monos)
-}
-
-// gjeRowsTracked is gjeRowsWorkers via the tracked plain elimination,
-// returning the reduced rows together with the ops matrix attributing each
-// row to a combination of the input polynomials. The reduced rows are
-// bit-identical to the untracked kernel's (RREF is unique).
-func gjeRowsTracked(polys []anf.Poly) ([]anf.Poly, *gf2.Matrix) {
-	scratch := getLinScratch()
-	defer putLinScratch(scratch)
-	tab := scratch.tab
-	for _, p := range polys {
-		scratch.ids = tab.AppendTermIDs(scratch.ids, p)
+// does no string hashing at all. With track the matrix is [A | I] and the
+// elimination's pivots are limited to A, so the I block comes out as the
+// ops matrix; without it the zero rowOps is returned.
+func gjeRowsIDs(polys []anf.Poly, ids []uint32, tab *anf.MonoTable, s *linScratch, track bool) ([]anf.Poly, rowOps) {
+	mat, order, monos := linearize(polys, ids, tab, s, track)
+	rank := mat.RREFM4RLimit(len(monos))
+	var ops rowOps
+	if track {
+		ops = rowOps{mat: mat, cols: len(monos)}
 	}
-	return gjeRowsIDsTracked(polys, scratch.ids, tab, scratch)
+	return extractRows(mat, rank, order, monos), ops
 }
 
-// gjeRowsIDsTracked is gjeRowsIDs with row-operation tracking.
-func gjeRowsIDsTracked(polys []anf.Poly, ids []uint32, tab *anf.MonoTable, s *linScratch) ([]anf.Poly, *gf2.Matrix) {
-	mat, order, monos := linearize(polys, ids, tab, s)
-	rank, ops := mat.RREFTracked()
-	return extractRows(mat, rank, order, monos), ops
+// rowOps reads the row operations of a tracked elimination: reduced row r
+// is the XOR of the input rows j whose bit is set in its ops block.
+type rowOps struct {
+	mat  *gf2.Matrix // a reduced gf2.WithOps matrix
+	cols int         // width of its A block
+}
+
+// each calls fn with every input row j that reduced row r combines.
+func (o rowOps) each(r int, fn func(j int)) {
+	gf2.ForEachSetBit(o.mat.OpsRow(r, o.cols), fn)
 }
 
 // linearize builds the GF(2) matrix of the polynomials: one column per
 // distinct monomial, sorted descending (leading terms first) so the
 // reduction eliminates high-degree monomials first, mirroring Table I.
-func linearize(polys []anf.Poly, ids []uint32, tab *anf.MonoTable, s *linScratch) (*gf2.Matrix, []uint32, []anf.Monomial) {
-	monos := tab.Monos()
-	var order []uint32
+// With track the matrix is gf2.WithOps-shaped: the monomial columns come
+// first, then an identity block that the pivot-limited elimination turns
+// into the ops matrix.
+func linearize(polys []anf.Poly, ids []uint32, tab *anf.MonoTable, s *linScratch, track bool) (mat *gf2.Matrix, order []uint32, monos []anf.Monomial) {
+	monos = tab.Monos()
 	var col []int // monomial ID → matrix column
 	if s != nil {
 		order, col = s.orderBufs(len(monos))
@@ -374,7 +318,11 @@ func linearize(polys []anf.Poly, ids []uint32, tab *anf.MonoTable, s *linScratch
 	for c, id := range order {
 		col[id] = c
 	}
-	mat := gf2.NewMatrix(len(polys), len(monos))
+	if track {
+		mat = gf2.WithOps(len(polys), len(monos))
+	} else {
+		mat = gf2.NewMatrix(len(polys), len(monos))
+	}
 	pos := 0
 	for r, p := range polys {
 		row := mat.Row(r)
@@ -387,13 +335,15 @@ func linearize(polys []anf.Poly, ids []uint32, tab *anf.MonoTable, s *linScratch
 	return mat, order, monos
 }
 
-// extractRows reads the first rank reduced rows back into polynomials.
+// extractRows reads the monomial columns of the first rank reduced rows
+// back into polynomials.
 func extractRows(mat *gf2.Matrix, rank int, order []uint32, monos []anf.Monomial) []anf.Poly {
 	out := make([]anf.Poly, 0, rank)
 	var terms []anf.Monomial
+	aw := gf2.Words(len(order))
 	for r := 0; r < rank; r++ {
 		terms = terms[:0]
-		gf2.ForEachSetBit(mat.Row(r), func(c int) {
+		gf2.ForEachSetBit(mat.Row(r)[:aw], func(c int) {
 			if c < len(order) {
 				terms = append(terms, monos[order[c]])
 			}

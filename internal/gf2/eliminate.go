@@ -1,9 +1,6 @@
 package gf2
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
 // RREF reduces the matrix in place to reduced row echelon form using plain
 // Gauss–Jordan elimination with partial (first-nonzero) pivoting, and
@@ -38,53 +35,6 @@ func (m *Matrix) RREF() int {
 		rank++
 	}
 	return rank
-}
-
-// RREFTracked reduces the matrix in place to reduced row echelon form
-// with the same plain Gauss–Jordan loop as RREF, and additionally returns
-// an ops matrix recording the row operations: after the call,
-//
-//	new_row[r] = XOR over { original_row[j] : ops.Get(r, j) }.
-//
-// RREF of a matrix is unique, so the reduced rows (and their order — pivot
-// rows sorted by leading column, zero rows last) are bit-identical to what
-// RREFM4RWorkers produces for the same input; only the run time differs.
-// The provenance-tracking elimination paths use this to attribute every
-// reduced row to an exact GF(2) combination of input rows.
-func (m *Matrix) RREFTracked() (int, *Matrix) {
-	ops := Identity(m.rows)
-	rank := 0
-	for col := 0; col < m.cols && rank < m.rows; col++ {
-		pivot := -1
-		for r := rank; r < m.rows; r++ {
-			if m.Get(r, col) {
-				pivot = r
-				break
-			}
-		}
-		if pivot < 0 {
-			continue
-		}
-		m.SwapRows(rank, pivot)
-		ops.SwapRows(rank, pivot)
-		prow := m.Row(rank)
-		orow := ops.Row(rank)
-		for r := 0; r < m.rows; r++ {
-			if r == rank || !m.Get(r, col) {
-				continue
-			}
-			row := m.Row(r)
-			for w := range row {
-				row[w] ^= prow[w]
-			}
-			xrow := ops.Row(r)
-			for w := range xrow {
-				xrow[w] ^= orow[w]
-			}
-		}
-		rank++
-	}
-	return rank, ops
 }
 
 // Rank returns the rank of the matrix without modifying it.
@@ -124,21 +74,10 @@ func m4rKElim(rows, cols, stride int) int {
 	return k
 }
 
-// RREFM4R reduces the matrix in place to reduced row echelon form using the
-// Method of the Four Russians and returns the rank. It is the sequential
-// form of RREFM4RWorkers.
-func (m *Matrix) RREFM4R() int { return m.RREFM4RWorkers(1) }
-
-// minWorkerWords is the minimum number of matrix words a round must touch
-// per worker before the kernel fans the table-application sweep out to
-// goroutines; below it the per-round synchronization outweighs the XOR
-// work.
-const minWorkerWords = 8192
-
-// RREFM4RWorkers reduces the matrix in place to reduced row echelon form
-// using the Method of the Four Russians and returns the rank. It processes
-// up to k pivot columns per round: the k pivot rows are mutually reduced,
-// a 2^k-entry table of all their GF(2) combinations is built Gray-code
+// RREFM4R reduces the matrix in place to reduced row echelon form using
+// the Method of the Four Russians and returns the rank. It processes up to
+// k pivot columns per round: the k pivot rows are mutually reduced, a
+// 2^k-entry table of all their GF(2) combinations is built Gray-code
 // style, and every other row is cleared in one table lookup plus one
 // word-parallel XOR — the elimination algorithm that gives M4RI its name
 // and its O(n³ / log n) behaviour.
@@ -161,55 +100,71 @@ const minWorkerWords = 8192
 //     hot.
 //
 // The workspace (table, leads, masks) is pooled, so steady-state rounds
-// allocate nothing. With workers > 1 the application sweep is split into
-// fixed disjoint row strips owned by persistent per-call goroutines that
-// are woken once per round; each row's final value is a fixed XOR of table
-// entries regardless of scheduling, so the result is bit-identical for
-// every worker count.
-func (m *Matrix) RREFM4RWorkers(workers int) int {
-	if m.rows == 0 || m.cols == 0 || m.stride == 0 {
+// allocate nothing.
+func (m *Matrix) RREFM4R() int { return m.RREFM4RLimit(m.cols) }
+
+// RREFM4RLimit is RREFM4R with pivots restricted to the columns
+// [0, limit): the columns from limit on ride along with every row
+// operation but are never pivoted on, and a row whose first limit columns
+// are zero counts as a zero row. After the call the first rank rows lead
+// in [0, limit) in increasing column order and the rest are zero there.
+//
+// Run on [A | I] with limit = A's width, the left block becomes RREF(A)
+// (unique, so bit-identical to RREFM4R on A) and the right block becomes
+// an ops matrix with ops·A = RREF(A): row r of the result is the XOR of
+// the input rows j whose bit is set in row r of the right block. This is
+// how the provenance-tracking eliminations attribute every reduced row to
+// input rows. For rank-deficient A the ops rows of the zero rows are one
+// valid choice among many.
+func (m *Matrix) RREFM4RLimit(limit int) int {
+	if limit > m.cols {
+		limit = m.cols
+	}
+	if m.rows == 0 || limit <= 0 {
 		return 0
 	}
-	k := m4rKElim(m.rows, m.cols, m.stride)
+	k := m4rKElim(m.rows, limit, m.stride)
 	ws := getM4RWorkspace(m.stride, k, m.rows)
 	defer putM4RWorkspace(ws)
 
 	for r := 0; r < m.rows; r++ {
 		ws.leads[r] = m.leadColFrom(r, 0)
 	}
-
-	// Cap the fan-out by the per-round work so small matrices stay on the
-	// fast sequential path.
-	if limit := m.rows * m.stride / minWorkerWords; workers > limit {
-		workers = limit
-	}
-	var crew *m4rCrew
-	if workers > 1 {
-		crew = m.startCrew(ws, workers)
-		defer crew.stop()
-	}
-
 	rank := 0
 	for rank < m.rows {
-		np := m.gatherPivots(ws, rank, k)
+		np := m.gatherPivots(ws, rank, k, limit)
 		if np == 0 {
 			break
 		}
 		startWord := int(ws.pcCol[0]) / wordBits
 		m.buildTable(ws, rank, np, startWord)
-		if crew != nil {
-			crew.dispatch(m4rRound{rank: rank, np: np, startWord: startWord})
-		} else {
-			m.applyRound(ws, rank, np, startWord, 0, m.rows)
-		}
+		m.applyRound(ws, rank, np, startWord)
 		rank += np
 	}
 	// Pivot gathering takes leads in whatever order the rounds produce
 	// them, so finish with a compaction pass that restores canonical RREF
 	// row order (pivot rows by leading column, zero rows last).
-	m.sortRowsByLeading()
+	m.sortRowsByLeading(limit)
 	return rank
 }
+
+// WithOps returns a rows-row matrix laid out for tracked elimination: an
+// A block of cols columns, zero-padded to a word boundary, followed by the
+// rows×rows identity. Fill A through Row (its columns come first), reduce
+// with RREFM4RLimit(cols), and read each reduced row's combination of
+// input rows with OpsRow.
+func WithOps(rows, cols int) *Matrix {
+	aw := Words(cols)
+	m := NewMatrix(rows, aw*wordBits+rows)
+	for r := 0; r < rows; r++ {
+		SetBit(m.Row(r)[aw:], r)
+	}
+	return m
+}
+
+// OpsRow returns the ops block of row r of a WithOps matrix whose A block
+// is cols wide: bit j is set when input row j is part of row r.
+func (m *Matrix) OpsRow(r, cols int) []uint64 { return m.Row(r)[Words(cols):] }
 
 // leadColFrom returns the leading column of row r scanning from the given
 // word, or m.cols when the row has no set bit in a valid column (the
@@ -229,22 +184,22 @@ func (m *Matrix) leadColFrom(r, fromWord int) int32 {
 }
 
 // gatherPivots selects the next pivot block: the rows holding the (up to k)
-// smallest distinct leading columns among rows ≥ rank, preferring the
+// smallest distinct leading columns below limit among rows ≥ rank, preferring the
 // smallest row index per column. The chosen rows are swapped into the
 // contiguous block [rank, rank+np) and mutually reduced, and the workspace
 // pivot descriptors (pcCol, pcWord, pcBit) are filled in ascending column
 // order. Returns the number of pivots gathered; 0 means every remaining
-// row is zero.
+// row is zero in [0, limit).
 //
 // Rows that share a leading column with a chosen pivot are left alone: the
 // round's table application clears their pivot-column bits, and whatever
 // lead they reduce to is picked up by a later round. RREF is unique, so
 // the final matrix is unaffected by this scheduling choice.
-func (m *Matrix) gatherPivots(ws *m4rWorkspace, rank, k int) int {
+func (m *Matrix) gatherPivots(ws *m4rWorkspace, rank, k, limit int) int {
 	np := 0
 	for r := rank; r < m.rows; r++ {
 		lead := ws.leads[r]
-		if int(lead) >= m.cols {
+		if int(lead) >= limit {
 			continue // zero row
 		}
 		// Full list and lead at or beyond its maximum: cannot improve it.
@@ -347,22 +302,22 @@ func (m *Matrix) buildTable(ws *m4rWorkspace, rank, np, startWord int) {
 	}
 }
 
-// applyRound clears the pivot columns from every non-pivot row in [lo, hi):
+// applyRound clears the pivot columns from every non-pivot row:
 // the row's bits at the np pivot columns index the combination table, whose
 // entry is XORed into the row's live suffix, and the row's tracked lead is
 // rescanned. When the live table fits the calibrated fast-cache budget the
 // sweep is a single fused pass; otherwise it is column-blocked — masks are
 // extracted into the workspace first, then each table strip is streamed
-// over all rows of the range while it is cache-resident.
+// over all rows while it is cache-resident.
 //
 //bosphorus:hotpath M4R table-apply sweep
-func (m *Matrix) applyRound(ws *m4rWorkspace, rank, np, startWord, lo, hi int) {
-	m.fillMasks(ws, rank, np, lo, hi)
+func (m *Matrix) applyRound(ws *m4rWorkspace, rank, np, startWord int) {
+	m.fillMasks(ws, rank, np)
 	masks := ws.masks
 	tw := m.stride - startWord
 	if (1<<uint(np))*tw <= fusedTableWords() {
 		// Fused: table XOR and lead rescan in one pass per row.
-		for r := lo; r < hi; r++ {
+		for r := 0; r < m.rows; r++ {
 			mask := masks[r]
 			if mask == 0 {
 				continue
@@ -375,7 +330,7 @@ func (m *Matrix) applyRound(ws *m4rWorkspace, rank, np, startWord, lo, hi int) {
 		}
 		return
 	}
-	// Blocked: stream the table strip-by-strip over all rows in range.
+	// Blocked: stream the table strip-by-strip over all rows.
 	strip := stripWordsFor(np)
 	for w0 := startWord; w0 < m.stride; w0 += strip {
 		w1 := w0 + strip
@@ -384,7 +339,7 @@ func (m *Matrix) applyRound(ws *m4rWorkspace, rank, np, startWord, lo, hi int) {
 		}
 		toff := w0 - startWord
 		tend := w1 - startWord
-		for r := lo; r < hi; r++ {
+		for r := 0; r < m.rows; r++ {
 			mask := masks[r]
 			if mask == 0 {
 				continue
@@ -397,31 +352,27 @@ func (m *Matrix) applyRound(ws *m4rWorkspace, rank, np, startWord, lo, hi int) {
 	// the old lead were zero and stay zero (the table's support starts at
 	// the first pivot column, which is at or after every candidate's
 	// lead), so the rescan starts at the old lead's word.
-	r0 := lo
-	if r0 < rank+np {
-		r0 = rank + np
-	}
-	for r := r0; r < hi; r++ {
+	for r := rank + np; r < m.rows; r++ {
 		if masks[r] != 0 {
 			ws.leads[r] = m.leadColFrom(r, int(ws.leads[r])/wordBits)
 		}
 	}
 }
 
-// fillMasks extracts every row's table index (bit i = pivot column i) for
-// rows in [lo, hi) into ws.masks; the pivot block itself gets 0. The
+// fillMasks extracts every row's table index (bit i = pivot column i) into
+// ws.masks; the pivot block itself gets 0. The
 // common dense case — the round's pivot columns are consecutive — reads
 // the index with one or two word loads instead of np scattered probes.
 //
 //bosphorus:hotpath per-row table-index extraction
-func (m *Matrix) fillMasks(ws *m4rWorkspace, rank, np, lo, hi int) {
+func (m *Matrix) fillMasks(ws *m4rWorkspace, rank, np int) {
 	masks := ws.masks
 	if ws.pcCol[np-1]-ws.pcCol[0] == int32(np-1) {
 		c0 := int(ws.pcCol[0])
 		w0, off := c0/wordBits, uint(c0)%wordBits
 		low := uint64(1)<<uint(np) - 1
 		spill := off+uint(np) > wordBits && w0+1 < m.stride
-		for r := lo; r < hi; r++ {
+		for r := 0; r < m.rows; r++ {
 			base := r * m.stride
 			v := m.data[base+w0] >> off
 			if spill {
@@ -430,7 +381,7 @@ func (m *Matrix) fillMasks(ws *m4rWorkspace, rank, np, lo, hi int) {
 			masks[r] = uint16(v & low)
 		}
 	} else {
-		for r := lo; r < hi; r++ {
+		for r := 0; r < m.rows; r++ {
 			base := r * m.stride
 			mask := uint16(0)
 			for i := 0; i < np; i++ {
@@ -440,87 +391,21 @@ func (m *Matrix) fillMasks(ws *m4rWorkspace, rank, np, lo, hi int) {
 		}
 	}
 	for r := rank; r < rank+np; r++ {
-		if r >= lo && r < hi {
-			masks[r] = 0
-		}
+		masks[r] = 0
 	}
 }
 
-// m4rRound is one round's application job, broadcast to the crew.
-type m4rRound struct {
-	rank, np, startWord int
-}
-
-// m4rCrew is the persistent fan-out of one RREFM4RWorkers call: workers-1
-// helper goroutines, each owning a fixed disjoint strip of rows, woken
-// once per round through a buffered channel. Row strips touch disjoint
-// matrix, mask, and lead ranges, so rounds run lock-free; the per-round
-// WaitGroup is the only synchronization.
-type m4rCrew struct {
-	m      *Matrix
-	ws     *m4rWorkspace
-	starts []chan m4rRound
-	bounds [][2]int // row strip per member; entry 0 is the coordinator's
-	wg     sync.WaitGroup
-}
-
-// startCrew launches the helper goroutines. Strips are contiguous,
-// near-equal row ranges; the coordinator keeps the first strip so the
-// calling goroutine contributes instead of idling at the barrier.
-func (m *Matrix) startCrew(ws *m4rWorkspace, workers int) *m4rCrew {
-	crew := &m4rCrew{m: m, ws: ws}
-	chunk := (m.rows + workers - 1) / workers
-	for lo := 0; lo < m.rows; lo += chunk {
-		hi := lo + chunk
-		if hi > m.rows {
-			hi = m.rows
-		}
-		crew.bounds = append(crew.bounds, [2]int{lo, hi})
-	}
-	for i := 1; i < len(crew.bounds); i++ {
-		ch := make(chan m4rRound, 1)
-		crew.starts = append(crew.starts, ch)
-		b := crew.bounds[i]
-		go func() {
-			for rd := range ch {
-				m.applyRound(ws, rd.rank, rd.np, rd.startWord, b[0], b[1])
-				crew.wg.Done()
-			}
-		}()
-	}
-	return crew
-}
-
-// dispatch runs one round across the crew and returns when every strip is
-// done. The coordinator works its own strip between the broadcast and the
-// barrier.
-func (c *m4rCrew) dispatch(rd m4rRound) {
-	c.wg.Add(len(c.starts))
-	for _, ch := range c.starts {
-		ch <- rd
-	}
-	b := c.bounds[0]
-	c.m.applyRound(c.ws, rd.rank, rd.np, rd.startWord, b[0], b[1])
-	c.wg.Wait()
-}
-
-// stop releases the helper goroutines.
-func (c *m4rCrew) stop() {
-	for _, ch := range c.starts {
-		close(ch)
-	}
-}
-
-// sortRowsByLeading reorders rows so leading columns are strictly
-// increasing, with zero rows last. Rows in RREF are unique per leading
-// column, so a counting placement suffices.
-func (m *Matrix) sortRowsByLeading() {
+// sortRowsByLeading reorders rows so leading columns below limit are
+// strictly increasing, with rows that are zero in [0, limit) last in their
+// current order. Rows in RREF are unique per leading column, so a counting
+// placement suffices.
+func (m *Matrix) sortRowsByLeading(limit int) {
 	type rowLead struct{ row, lead int }
 	leads := make([]rowLead, m.rows)
 	for r := 0; r < m.rows; r++ {
 		l := m.LeadingCol(r)
-		if l < 0 {
-			l = m.cols
+		if l < 0 || l >= limit {
+			l = limit
 		}
 		leads[r] = rowLead{r, l}
 	}

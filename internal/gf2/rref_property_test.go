@@ -35,15 +35,10 @@ func TestBlockedApplyMatchesScalar(t *testing.T) {
 		}
 		plain, blocked := m.Clone(), m.Clone()
 		rp := plain.RREF()
-		for _, workers := range []int{1, 2, 5} {
-			got := blocked.Clone()
-			if rg := got.RREFM4RWorkers(workers); rg != rp {
-				t.Fatalf("trial %d workers=%d (%dx%d): rank %d, want %d",
-					trial, workers, m.Rows(), m.Cols(), rg, rp)
-			} else if !got.Equal(plain) {
-				t.Fatalf("trial %d workers=%d (%dx%d): blocked RREF differs from scalar",
-					trial, workers, m.Rows(), m.Cols())
-			}
+		if rb := blocked.RREFM4R(); rb != rp {
+			t.Fatalf("trial %d (%dx%d): rank %d, want %d", trial, m.Rows(), m.Cols(), rb, rp)
+		} else if !blocked.Equal(plain) {
+			t.Fatalf("trial %d (%dx%d): blocked RREF differs from scalar", trial, m.Rows(), m.Cols())
 		}
 	}
 }
@@ -64,35 +59,83 @@ func TestKernelDegenerateShapes(t *testing.T) {
 			}
 		}
 		plain, m4r := m.Clone(), m.Clone()
-		if rp, rm := plain.RREF(), m4r.RREFM4RWorkers(4); rp != rm || !plain.Equal(m4r) {
+		if rp, rm := plain.RREF(), m4r.RREFM4R(); rp != rm || !plain.Equal(m4r) {
 			t.Fatalf("%dx%d: scalar and M4R kernels disagree (rank %d vs %d)", sh.rows, sh.cols, rp, rm)
 		}
-		if zero := NewMatrix(sh.rows, sh.cols); zero.RREFM4RWorkers(2) != 0 {
+		if zero := NewMatrix(sh.rows, sh.cols); zero.RREFM4R() != 0 {
 			t.Fatalf("%dx%d: zero matrix must have rank 0", sh.rows, sh.cols)
 		}
 	}
 }
 
-// RREFTracked must mirror the optimized kernel bit-identically (RREF is
-// unique) and its ops matrix must replay: ops · original == reduced. The
-// provenance witnesses and VerifyFacts replay depend on both halves.
-func TestTrackedMirrorsOptimizedKernel(t *testing.T) {
+// withOps returns WithOps(a.Rows(), a.Cols()) with a copied into its A
+// block.
+func withOps(a *Matrix) *Matrix {
+	aug := WithOps(a.Rows(), a.Cols())
+	for r := 0; r < a.Rows(); r++ {
+		copy(aug.Row(r)[:a.stride], a.Row(r))
+	}
+	return aug
+}
+
+// splitTracked cuts a reduced WithOps matrix back into its A block (cols
+// columns) and the rows×rows ops matrix.
+func splitTracked(aug *Matrix, cols int) (*Matrix, *Matrix) {
+	rows := aug.Rows()
+	red, ops := NewMatrix(rows, cols), NewMatrix(rows, rows)
+	for r := 0; r < rows; r++ {
+		copy(red.Row(r), aug.Row(r))
+		copy(ops.Row(r), aug.OpsRow(r, cols))
+	}
+	return red, ops
+}
+
+// Tracked M4R — RREFM4RLimit on [A | I] — must reduce the A block to the
+// RREF oracle bit-for-bit and leave an ops block that replays it
+// (ops·A == R), on tall, wide and rank-deficient shapes, with garbage
+// smeared past the last valid column, and through the column-blocked
+// apply. The provenance witnesses and VerifyFacts replay depend on both
+// halves.
+func TestTrackedM4RReplays(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 60; trial++ {
-		m := randomShapedMatrix(rng)
-		tracked, fast := m.Clone(), m.Clone()
-		rt, ops := tracked.RREFTracked()
-		rf := fast.RREFM4RWorkers(1 + rng.Intn(4))
-		if rt != rf {
-			t.Fatalf("trial %d (%dx%d): rank tracked=%d fast=%d", trial, m.Rows(), m.Cols(), rt, rf)
+	for trial := 0; trial < 120; trial++ {
+		if trial == 60 {
+			defer forceBlockedApply()()
 		}
-		if !tracked.Equal(fast) {
-			t.Fatalf("trial %d (%dx%d): tracked RREF not bit-identical to optimized kernel",
-				trial, m.Rows(), m.Cols())
+		a := randomShapedMatrix(rng)
+		// Rank deficiency beyond the dead columns: overwrite some rows
+		// with sums of others.
+		for i := 0; i < a.Rows()/4; i++ {
+			dst, x, y := rng.Intn(a.Rows()), rng.Intn(a.Rows()), rng.Intn(a.Rows())
+			if dst == x || dst == y {
+				continue
+			}
+			row := a.Row(dst)
+			copy(row, a.Row(x))
+			xorWords(row, a.Row(y))
 		}
-		if replay := ops.Mul(m); !replay.Equal(tracked) {
+		want := a.Clone()
+		rw := want.RREF()
+		aug := withOps(a)
+		if trial%3 == 0 {
+			mask := lastWordMask(aug.Cols())
+			for r := 0; r < aug.Rows(); r++ {
+				row := aug.Row(r)
+				row[len(row)-1] |= ^mask
+			}
+		}
+		rt := aug.RREFM4RLimit(a.Cols())
+		if rt != rw {
+			t.Fatalf("trial %d (%dx%d): rank tracked=%d oracle=%d", trial, a.Rows(), a.Cols(), rt, rw)
+		}
+		red, ops := splitTracked(aug, a.Cols())
+		if !red.Equal(want) {
+			t.Fatalf("trial %d (%dx%d): tracked A block differs from the RREF oracle",
+				trial, a.Rows(), a.Cols())
+		}
+		if replay := ops.Mul(a); !replay.Equal(red) {
 			t.Fatalf("trial %d (%dx%d): ops matrix does not replay the reduction",
-				trial, m.Rows(), m.Cols())
+				trial, a.Rows(), a.Cols())
 		}
 	}
 }
@@ -121,7 +164,7 @@ func TestKernelIgnoresTailGarbage(t *testing.T) {
 			row := dirty.Row(r)
 			row[len(row)-1] |= ^mask // smear every invalid bit
 		}
-		rd := dirty.RREFM4RWorkers(2)
+		rd := dirty.RREFM4R()
 		if rd != rc {
 			t.Fatalf("cols=%d: rank with tail garbage %d, want %d", cols, rd, rc)
 		}

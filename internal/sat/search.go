@@ -39,7 +39,7 @@ func (s *Solver) SetDeadline(t time.Time) { s.deadline = t }
 func (s *Solver) Interrupt() { s.interrupted.Store(true) }
 
 // SetInterrupt installs a hook polled at the same cadence as the deadline
-// (every few hundred conflicts and at restart boundaries); returning true
+// (every interruptPoll conflicts and at restart boundaries); returning true
 // makes the current and future solve calls stop with Unknown. A nil hook
 // removes it. Unlike Interrupt, the hook is not cleared when a solve
 // starts, so a persistent cancellation source (a context, a shared stop
@@ -52,8 +52,8 @@ func (s *Solver) SetInterrupt(hook func() bool) { s.interruptHook = hook }
 func (s *Solver) SolveCtx(ctx context.Context) Status { return s.SolveLimitedCtx(ctx, -1) }
 
 // SolveLimitedCtx is SolveLimited bound to a context. The context is
-// polled through the interrupt-hook path (every few hundred conflicts and
-// at restart boundaries), composing with any hook installed via
+// polled through the interrupt-hook path (every interruptPoll conflicts
+// and at restart boundaries), composing with any hook installed via
 // SetInterrupt.
 func (s *Solver) SolveLimitedCtx(ctx context.Context, conflictBudget int64) Status {
 	if ctx == nil || ctx.Done() == nil {
@@ -198,7 +198,7 @@ func (s *Solver) search(restartBudget, globalBudget int64) (Status, int64) {
 			if conflicts >= restartBudget || (globalBudget >= 0 && conflicts >= globalBudget) {
 				return Unknown, conflicts
 			}
-			if conflicts%256 == 0 && s.deadlineExpired() {
+			if conflicts%interruptPoll == 0 && s.deadlineExpired() {
 				return Unknown, conflicts
 			}
 			continue
@@ -225,6 +225,13 @@ func (s *Solver) search(restartBudget, globalBudget int64) (Status, int64) {
 }
 
 const litUndef = cnf.Lit(^uint32(0))
+
+// interruptPoll is how many conflicts the search runs between deadline and
+// interrupt checks. A check costs a context probe and a clock read; on
+// parity-heavy instances a conflict can take a third of a millisecond, so
+// a few hundred conflicts between checks overran a time budget by up to
+// 0.1 s.
+const interruptPoll = 32
 
 // pickBranchLit selects the next decision literal via VSIDS with saved
 // phases, or litUndef if all variables are assigned.

@@ -87,7 +87,7 @@ type Solver struct {
 	interrupted atomic.Bool
 
 	// interruptHook, when non-nil, is polled alongside the deadline (every
-	// few hundred conflicts and at every restart boundary); returning true
+	// interruptPoll conflicts and at every restart boundary); returning true
 	// stops the solve with Unknown. This is the cancellation plug point the
 	// service stack uses to thread context.Context down to the search loop.
 	interruptHook func() bool

@@ -21,6 +21,47 @@ var latencyBuckets = []float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
 // few milliseconds even on large residues.
 var routeBuckets = []float64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
 
+// histogram is a cumulative Prometheus histogram over fixed upper bounds.
+// It is not synchronized; Metrics guards its histograms with mu.
+type histogram struct {
+	bounds []float64
+	counts []int64 // per bucket, len(bounds)+1; the last is +Inf
+	sum    float64
+	n      int64
+}
+
+func newHistogram(bounds []float64) histogram {
+	return histogram{bounds: bounds, counts: make([]int64, len(bounds)+1)}
+}
+
+// observe adds one value to the first bucket whose bound is ≥ v.
+func (h *histogram) observe(v float64) {
+	idx := len(h.bounds)
+	for i, ub := range h.bounds {
+		if v <= ub {
+			idx = i
+			break
+		}
+	}
+	h.counts[idx]++
+	h.sum += v
+	h.n++
+}
+
+// write renders the histogram in the text exposition format.
+func (h *histogram) write(b *strings.Builder, name string) {
+	fmt.Fprintf(b, "# TYPE %s histogram\n", name)
+	cum := int64(0)
+	for i, ub := range h.bounds {
+		cum += h.counts[i]
+		fmt.Fprintf(b, "%s_bucket{le=\"%g\"} %d\n", name, ub, cum)
+	}
+	cum += h.counts[len(h.bounds)]
+	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
+	fmt.Fprintf(b, "%s_sum %g\n", name, h.sum)
+	fmt.Fprintf(b, "%s_count %d\n", name, h.n)
+}
+
 // Metrics is the daemon's plain-text counter registry. All fields are
 // safe for concurrent use; rendering takes a consistent-enough snapshot
 // (counters are monotonic, the gauge is read last).
@@ -44,20 +85,21 @@ type Metrics struct {
 	// Worker-node role.
 	NodeCubesSolved atomic.Int64 // tasks this node settled (SAT or UNSAT)
 
-	mu         sync.Mutex
-	facts      map[string]int64 // per-technique facts learnt
-	routed     map[string]int64 // per-fragment router verdicts (2sat/horn/antihorn/xor)
-	latencyCnt [14]int64        // len(latencyBuckets)+1, last is +Inf
-	latencySum float64
-	latencyN   int64
-	routeCnt   [8]int64 // len(routeBuckets)+1, last is +Inf
-	routeSum   float64  // nanoseconds
-	routeN     int64
+	mu      sync.Mutex
+	facts   map[string]int64 // per-technique facts learnt
+	routed  map[string]int64 // per-fragment router verdicts (2sat/horn/antihorn/xor)
+	latency histogram        // solve wall-clock, seconds
+	route   histogram        // router classification time, nanoseconds
 }
 
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
-	return &Metrics{facts: make(map[string]int64), routed: make(map[string]int64)}
+	return &Metrics{
+		facts:   make(map[string]int64),
+		routed:  make(map[string]int64),
+		latency: newHistogram(latencyBuckets),
+		route:   newHistogram(routeBuckets),
+	}
 }
 
 // AddFacts credits n learnt facts to a technique label (xl, elimlin, sat,
@@ -77,42 +119,23 @@ func (m *Metrics) AddFacts(technique string, n int) {
 // a routed verdict. fragment is "" when the residue was mixed and the
 // job fell through to CDCL.
 func (m *Metrics) ObserveRoute(fragment string, ns int64) {
-	idx := len(routeBuckets)
-	for i, ub := range routeBuckets {
-		if float64(ns) <= ub {
-			idx = i
-			break
-		}
-	}
 	m.mu.Lock()
 	if fragment != "" {
 		m.routed[fragment]++
 	}
-	m.routeCnt[idx]++
-	m.routeSum += float64(ns)
-	m.routeN++
+	m.route.observe(float64(ns))
 	m.mu.Unlock()
 }
 
 // ObserveLatency records one completed solve's wall-clock time.
 func (m *Metrics) ObserveLatency(d time.Duration) {
-	s := d.Seconds()
-	idx := len(latencyBuckets)
-	for i, ub := range latencyBuckets {
-		if s <= ub {
-			idx = i
-			break
-		}
-	}
 	m.mu.Lock()
-	m.latencyCnt[idx]++
-	m.latencySum += s
-	m.latencyN++
+	m.latency.observe(d.Seconds())
 	m.mu.Unlock()
 }
 
 // Render writes the registry in the Prometheus text exposition format
-// (counters and one cumulative histogram) — stdlib-only, scrapable, and
+// (counters and cumulative histograms) — stdlib-only, scrapable, and
 // greppable by the smoke tests.
 func (m *Metrics) Render() string {
 	var b strings.Builder
@@ -154,26 +177,8 @@ func (m *Metrics) Render() string {
 	for _, f := range frags {
 		fmt.Fprintf(&b, "bosphorusd_routed_total{fragment=%q} %d\n", f, m.routed[f])
 	}
-	b.WriteString("# TYPE bosphorusd_route_ns histogram\n")
-	rcum := int64(0)
-	for i, ub := range routeBuckets {
-		rcum += m.routeCnt[i]
-		fmt.Fprintf(&b, "bosphorusd_route_ns_bucket{le=\"%g\"} %d\n", ub, rcum)
-	}
-	rcum += m.routeCnt[len(routeBuckets)]
-	fmt.Fprintf(&b, "bosphorusd_route_ns_bucket{le=\"+Inf\"} %d\n", rcum)
-	fmt.Fprintf(&b, "bosphorusd_route_ns_sum %g\n", m.routeSum)
-	fmt.Fprintf(&b, "bosphorusd_route_ns_count %d\n", m.routeN)
-	b.WriteString("# TYPE bosphorusd_solve_seconds histogram\n")
-	cum := int64(0)
-	for i, ub := range latencyBuckets {
-		cum += m.latencyCnt[i]
-		fmt.Fprintf(&b, "bosphorusd_solve_seconds_bucket{le=\"%g\"} %d\n", ub, cum)
-	}
-	cum += m.latencyCnt[len(latencyBuckets)]
-	fmt.Fprintf(&b, "bosphorusd_solve_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(&b, "bosphorusd_solve_seconds_sum %g\n", m.latencySum)
-	fmt.Fprintf(&b, "bosphorusd_solve_seconds_count %d\n", m.latencyN)
+	m.route.write(&b, "bosphorusd_route_ns")
+	m.latency.write(&b, "bosphorusd_solve_seconds")
 	m.mu.Unlock()
 	return b.String()
 }

@@ -73,6 +73,21 @@ if "$workdir/proofcheck" -cnf "$workdir/parity.drat.cnf" "$workdir/parity-bad.dr
 	exit 1
 fi
 
+echo "==> provenance smoke with XL and ElimLin on (SR-[1,2,2,4], Simon-[2,5]: every learnt fact re-derives)"
+go build -o "$workdir/anfgen" ./cmd/anfgen
+"$workdir/anfgen" -family sr -seed 3 -count 1 -dir "$workdir/prov" 2>/dev/null
+"$workdir/anfgen" -family simon -plaintexts 2 -rounds 5 -seed 3 -count 1 -dir "$workdir/prov" 2>/dev/null
+for f in "$workdir"/prov/*.anf; do
+	line=$("$workdir/bosphorus" -anf "$f" -solve -verify-facts | grep "^c verify:" || true)
+	case "$line" in
+	*" failed=0 unverified=0"*) ;;
+	*)
+		echo "provenance smoke on $f: ${line:-no verify line}" >&2
+		exit 1
+		;;
+	esac
+done
+
 echo "==> multi-node smoke (coordinator + two worker nodes, proofcheck on the stitched proof)"
 BOSPHORUSD_SMOKE_DIR="$workdir" go test -count=1 -run TestMultiNodeSmoke ./cmd/bosphorusd
 "$workdir/proofcheck" -cnf "$workdir/smoke.cnf" "$workdir/smoke.drat" | grep -q "s VERIFIED"
