@@ -80,17 +80,21 @@ func runXL(sys *anf.System, cfg XLConfig, sink *witnessSink) []anf.Poly {
 	defer putLinScratch(scratch)
 	tab := scratch.tab
 	expanded := make([]anf.Poly, 0, 2*len(polys))
-	// srcs[j] is the multiplier·slot product behind expanded[j]; tracked
-	// runs only.
-	var srcs []SlotTerm
-	push := func(q anf.Poly, i int, mult anf.Poly) {
+	// srcs[j] is the multiplier and system slot behind expanded[j];
+	// tracked runs only.
+	type rowSrc struct {
+		mult anf.Monomial
+		slot int
+	}
+	var srcs []rowSrc
+	push := func(q anf.Poly, i int, mult anf.Monomial) {
 		expanded = append(expanded, q)
 		scratch.ids = tab.AppendTermIDs(scratch.ids, q)
 		if sink != nil {
-			srcs = append(srcs, SlotTerm{Mult: mult, Slot: slots[i]})
+			srcs = append(srcs, rowSrc{mult: mult, slot: slots[i]})
 		}
 	}
-	one := anf.OnePoly()
+	one := anf.NewMonomial()
 	for i, p := range polys {
 		push(p, i, one)
 	}
@@ -98,28 +102,17 @@ func runXL(sys *anf.System, cfg XLConfig, sink *witnessSink) []anf.Poly {
 	// multipliers (D = 1); for D > 1, products of those variables.
 	vars := collectVars(polys)
 	multipliers := buildMultipliers(vars, cfg.Deg)
-	var multPolys []anf.Poly // multipliers as polynomials; tracked runs only
-	if sink != nil {
-		multPolys = make([]anf.Poly, len(multipliers))
-		for k, m := range multipliers {
-			multPolys[k] = anf.FromMonomials(m)
-		}
-	}
 expansion:
 	for i, p := range polys {
 		if ctxCanceled(cfg.Context) {
 			return nil
 		}
-		for k, m := range multipliers {
+		for _, m := range multipliers {
 			q := p.MulMonomial(m)
 			if q.IsZero() {
 				continue
 			}
-			var mult anf.Poly
-			if sink != nil {
-				mult = multPolys[k]
-			}
-			push(q, i, mult)
+			push(q, i, m)
 			if uint64(len(expanded))*uint64(tab.Len()) > limit {
 				break expansion
 			}
@@ -137,7 +130,9 @@ expansion:
 		facts = append(facts, p)
 		if sink != nil {
 			var wit []SlotTerm
-			ops.each(r, func(j int) { wit = append(wit, srcs[j]) })
+			ops.each(r, func(j int) {
+				wit = append(wit, SlotTerm{Mult: anf.FromMonomials(srcs[j].mult), Slot: srcs[j].slot})
+			})
 			sink.add(p, canonSlotTerms(wit), "gje row")
 		}
 	}
