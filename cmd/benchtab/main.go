@@ -177,8 +177,8 @@ type perfBlob struct {
 
 // perfSnapshot times the hot kernels this reproduction optimizes — the XL
 // linearization pass, the ElimLin rounds loop, the M4R elimination, and
-// (since PR 5) the CDCL solver's propagation-heavy and
-// conflict-analysis-heavy benchmark families — and writes the medians
+// the CDCL solver's propagation-heavy and conflict-analysis-heavy
+// benchmark families — and writes the medians
 // as JSON, so successive PRs can diff like against like (see
 // BENCH_pr1.json, BENCH_pr5.json). The CDCL entries carry allocs/op and
 // bytes/op alongside ns/op: the arena clause store's target is both.

@@ -43,9 +43,9 @@ func feedMetrics() *Metrics {
 	return m
 }
 
-// The /metrics text of a fixed set of observations, recorded before the
-// two histograms shared one type: the exposition format is an interface
-// (scrapers, dashboards, the smoke tests), so it must stay byte-identical.
+// The /metrics text of feedMetrics' observations. The exposition format is
+// an interface (scrapers, dashboards, the smoke tests), so it must stay
+// byte-identical.
 const metricsGolden = `# TYPE bosphorusd_jobs_accepted_total counter
 bosphorusd_jobs_accepted_total 7
 # TYPE bosphorusd_jobs_rejected_total counter
